@@ -7,7 +7,8 @@ package main
 //   - the platform,
 //   - per window in {1, 4, 16, 64}: the deterministic zero-allocation gate
 //     (the coalesced hot path — fixed in-handle buffers — must allocate
-//     nothing at steady state; any nonzero allocs/op exits 1), the
+//     nothing at steady state; any allocation made under a queue frame
+//     exits 1 and prints its stack), the
 //     run-grouped throughput of the wf-coalesce-w<N> variant, and its
 //     pairwise wall ratio over plain wf-10 from interleaved best-of rounds,
 //   - gates on the ratios: window 1 is a pure passthrough and must stay
@@ -135,8 +136,8 @@ func runCoalesce(o options, tolerance float64) {
 			w.Window, st.AllocsPerOp, st.Ops, st.Recycled)
 		if st.AllocsPerOp > 0 {
 			failures = append(failures, fmt.Sprintf(
-				"window %d: coalesced hot path allocated %.6f objects/op at steady state, want 0",
-				w.Window, st.AllocsPerOp))
+				"window %d: coalesced hot path allocated %.6f objects/op at steady state, want 0, at:\n%s",
+				w.Window, st.AllocsPerOp, st.AllocSites()))
 		}
 	}
 

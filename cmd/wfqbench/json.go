@@ -242,7 +242,8 @@ func runJSON(o options) {
 		o.outPath, core.AllocsPerOp, core.Ops, core.Recycled, doc.Pairwise.RecycleVsBase)
 
 	if core.AllocsPerOp > 0 {
-		fatalf("core hot path allocated %.4f objects/op at steady state, want 0 (gate failed)", core.AllocsPerOp)
+		fatalf("core hot path allocated %.4f objects/op at steady state, want 0 (gate failed), at:\n%s",
+			core.AllocsPerOp, core.AllocSites())
 	}
 }
 

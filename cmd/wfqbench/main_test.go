@@ -456,6 +456,53 @@ func TestCLICoalesce(t *testing.T) {
 	}
 }
 
+// topo must record a point at every sweep value on every curve: the curves
+// once lost all their points to a pointer into a slice still being grown.
+func TestCLITopo(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_topo.json")
+	args := append([]string{"topo", "-threads", "1,2", "-tolerance", "0.99",
+		"-out", out}, quick...)
+	stdout, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("baseline not written: %v", err)
+	}
+	var doc struct {
+		Schema string `json:"schema"`
+		Curves []struct {
+			Queue  string `json:"queue"`
+			Points []struct {
+				Procs    int     `json:"procs"`
+				WallMops float64 `json:"wall_mops"`
+			} `json:"points"`
+		} `json:"curves"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("baseline is not valid JSON: %v\n%s", err, b)
+	}
+	if doc.Schema != "wfqueue/bench-topo/v1" {
+		t.Errorf("schema = %q", doc.Schema)
+	}
+	if len(doc.Curves) != len(topoQueues) {
+		t.Fatalf("%d curves, want %d (%v)", len(doc.Curves), len(topoQueues), topoQueues)
+	}
+	for _, c := range doc.Curves {
+		var procs []int
+		for _, p := range c.Points {
+			procs = append(procs, p.Procs)
+			if p.WallMops <= 0 {
+				t.Errorf("%s procs=%d: wall_mops = %v", c.Queue, p.Procs, p.WallMops)
+			}
+		}
+		if len(procs) != 2 || procs[0] != 1 || procs[1] != 2 {
+			t.Errorf("curve %s has points at procs %v, want [1 2]", c.Queue, procs)
+		}
+	}
+}
+
 // trajectory is a pure reader: it merges whatever committed baselines exist
 // in the working directory into one schema-versioned document, skipping
 // missing files and carrying the coalesce baseline's window tags through.

@@ -247,7 +247,8 @@ func runSCQ(o options, tolerance float64) {
 
 	if ring.AllocsPerOp > 0 {
 		failures = append(failures, fmt.Sprintf(
-			"warm SCQ ring allocated %.4f objects/op at steady state, want 0", ring.AllocsPerOp))
+			"warm SCQ ring allocated %.4f objects/op at steady state, want 0, at:\n%s",
+			ring.AllocsPerOp, ring.AllocSites()))
 	}
 	if doc.Pairwise.SCQOverWF10 < 1-tolerance {
 		failures = append(failures, fmt.Sprintf(

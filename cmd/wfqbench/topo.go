@@ -127,26 +127,27 @@ func runTopo(o options, tolerance float64) {
 		st.AllocsPerOp, st.Ops)
 	if st.AllocsPerOp > 0 {
 		failures = append(failures, fmt.Sprintf(
-			"topology hot path allocated %.6f objects/op at steady state, want 0", st.AllocsPerOp))
+			"topology hot path allocated %.6f objects/op at steady state, want 0, at:\n%s",
+			st.AllocsPerOp, st.AllocSites()))
 	}
 
 	// The curves: per sweep point, GOMAXPROCS is pinned to the point for
-	// every queue's run, then restored.
+	// every queue's run, then restored. doc.Curves is sized once, so the
+	// points go into its final backing array.
 	prev := runtime.GOMAXPROCS(0)
-	curves := make(map[string]*topoCurve, len(topoQueues))
-	for _, qn := range topoQueues {
-		doc.Curves = append(doc.Curves, topoCurve{Queue: qn})
-		curves[qn] = &doc.Curves[len(doc.Curves)-1]
+	doc.Curves = make([]topoCurve, len(topoQueues))
+	for i, qn := range topoQueues {
+		doc.Curves[i].Queue = qn
 	}
 	for _, procs := range sweep {
 		runtime.GOMAXPROCS(procs)
-		for _, qn := range topoQueues {
+		for i, qn := range topoQueues {
 			res, err := bench.Run(o.config(qn, workload.Pairs, procs))
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
 				fatalf("topo %s procs=%d: %v", qn, procs, err)
 			}
-			curves[qn].Points = append(curves[qn].Points, topoPoint{
+			doc.Curves[i].Points = append(doc.Curves[i].Points, topoPoint{
 				Procs:       procs,
 				Mops:        res.Mops(),
 				WallMops:    res.WallInterval.Mean,

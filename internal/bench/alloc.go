@@ -4,7 +4,9 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"unsafe"
 
 	"wfqueue/internal/affinity"
@@ -19,6 +21,101 @@ type SteadyStateResult struct {
 	AllocsPerOp float64 // heap allocations per pair (expected: 0)
 	BytesPerOp  float64 // heap bytes per pair (expected: 0)
 	Recycled    uint64  // segments the queue reclaimed during measurement
+	// Stacks holds one symbolized stack per allocation site counted in
+	// AllocsPerOp (queueAllocs).
+	Stacks []string
+}
+
+// AllocSites returns Stacks as one block of text, for a gate's failure
+// message.
+func (r SteadyStateResult) AllocSites() string { return strings.Join(r.Stacks, "\n") }
+
+// queuePackages are the packages whose frames make an allocation the
+// queue's own in queueAllocs.
+var queuePackages = []string{"wfqueue/internal/core.", "wfqueue/internal/sharded.", "wfqueue/internal/scq."}
+
+// queueAllocs runs fn with every allocation sampled (runtime.MemProfileRate
+// 1) and returns the objects and bytes fn's window allocated under a frame
+// of queuePackages, with one stack per such allocation site. Process-wide
+// MemStats also count what the runtime and other goroutines allocate in the
+// window; with more than one P that background work lands in an exact-zero
+// gate now and then (about one object per 200,000 ops on a 2-thread host),
+// while an allocation on a queue path always carries a queue frame.
+func queueAllocs(fn func()) (objs, bytes int64, stacks []string) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocSites()
+	fn()
+	for stk, a := range allocSites() {
+		b := before[stk]
+		if a.objs == b.objs || !hasQueueFrame(stk) {
+			continue
+		}
+		objs += a.objs - b.objs
+		bytes += a.bytes - b.bytes
+		stacks = append(stacks, formatStack(stk))
+	}
+	return objs, bytes, stacks
+}
+
+type siteCount struct{ objs, bytes int64 }
+
+// allocSites returns the cumulative allocation count of every stack in the
+// heap profile. The runtime.GC first publishes the allocations made so far:
+// the profile only reflects completed collection cycles.
+func allocSites() map[[32]uintptr]siteCount {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n := 64; ; {
+		recs = make([]runtime.MemProfileRecord, n)
+		m, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:m]
+			break
+		}
+		n = m + m/4
+	}
+	sites := make(map[[32]uintptr]siteCount, len(recs))
+	for _, r := range recs {
+		c := sites[r.Stack0] // records are per stack and size class
+		c.objs += r.AllocObjects
+		c.bytes += r.AllocBytes
+		sites[r.Stack0] = c
+	}
+	return sites
+}
+
+func frames(stk [32]uintptr) *runtime.Frames {
+	n := 0
+	for n < len(stk) && stk[n] != 0 {
+		n++
+	}
+	return runtime.CallersFrames(stk[:n])
+}
+
+func hasQueueFrame(stk [32]uintptr) bool {
+	for fs := frames(stk); ; {
+		f, more := fs.Next()
+		for _, p := range queuePackages {
+			if strings.HasPrefix(f.Function, p) {
+				return true
+			}
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+func formatStack(stk [32]uintptr) string {
+	var b strings.Builder
+	for fs := frames(stk); ; {
+		f, more := fs.Next()
+		fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+		if !more {
+			return b.String()
+		}
+	}
 }
 
 // SteadyStateAllocs measures the heap allocations of the core queue's
@@ -26,10 +123,11 @@ type SteadyStateResult struct {
 // small enough (shift 6, maxGarbage 1) that the measured window crosses
 // many segment boundaries — so the number proves segment recycling, not
 // just in-segment cell reuse. The queue is warmed through one full
-// reclamation cycle first, then ops enqueue/dequeue pairs run under
-// MemStats accounting on a single goroutine (the allocation behavior of
-// the data structure is thread-count independent: the same code paths
-// run, only their interleaving changes).
+// reclamation cycle first, then ops enqueue/dequeue pairs run on a single
+// goroutine, counting the allocations made under a queue frame
+// (queueAllocs). The allocation behavior of the data structure is
+// thread-count independent: the same code paths run, only their
+// interleaving changes.
 func SteadyStateAllocs(ops int) SteadyStateResult {
 	if ops < 1 {
 		ops = 1
@@ -54,20 +152,19 @@ func SteadyStateAllocs(ops int) SteadyStateResult {
 	}
 
 	before := q.ReclaimedSegments()
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < ops; i++ {
-		q.Enqueue(h, p)
-		q.Dequeue(h)
-	}
-	runtime.ReadMemStats(&m1)
+	objs, bytes, stacks := queueAllocs(func() {
+		for i := 0; i < ops; i++ {
+			q.Enqueue(h, p)
+			q.Dequeue(h)
+		}
+	})
 
 	return SteadyStateResult{
 		Ops:         ops,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+		AllocsPerOp: float64(objs) / float64(ops),
+		BytesPerOp:  float64(bytes) / float64(ops),
 		Recycled:    q.ReclaimedSegments() - before,
+		Stacks:      stacks,
 	}
 }
 
@@ -103,29 +200,29 @@ func SCQSteadyStateAllocs(ops int) SteadyStateResult {
 		h.Dequeue()
 	}
 
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < ops; i++ {
-		if err := h.TryEnqueue(p); err != nil {
-			panic(err)
+	objs, bytes, stacks := queueAllocs(func() {
+		for i := 0; i < ops; i++ {
+			if err := h.TryEnqueue(p); err != nil {
+				panic(err)
+			}
+			h.Dequeue()
 		}
-		h.Dequeue()
-	}
-	runtime.ReadMemStats(&m1)
+	})
 
 	return SteadyStateResult{
 		Ops:         ops,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+		AllocsPerOp: float64(objs) / float64(ops),
+		BytesPerOp:  float64(bytes) / float64(ops),
 		Recycled:    uint64(ops / capacity), // full ring wraps the window crossed
+		Stacks:      stacks,
 	}
 }
 
 // CoalesceSteadyStateAllocs measures the heap allocations of the core
 // queue's coalesced hot path (CoalescedEnqueue/CoalescedDequeue at the
 // given window) at steady state, with the same small-segment recycling
-// setup as SteadyStateAllocs. The coalescing buffers are fixed arrays
+// setup as SteadyStateAllocs. It counts only allocations made under a
+// queue frame (queueAllocs). The coalescing buffers are fixed arrays
 // inside the handle, so the expectation is exactly 0 at every window —
 // window 1 exercises the passthrough, larger windows the flush/refill
 // cycle. Run-grouped shape (a run of window enqueues, then window
@@ -168,18 +265,15 @@ func CoalesceSteadyStateAllocs(ops, window int) SteadyStateResult {
 	if rounds < 1 {
 		rounds = 1
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	run(rounds)
-	runtime.ReadMemStats(&m1)
+	objs, bytes, stacks := queueAllocs(func() { run(rounds) })
 
 	measured := rounds * window
 	return SteadyStateResult{
 		Ops:         measured,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(measured),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(measured),
+		AllocsPerOp: float64(objs) / float64(measured),
+		BytesPerOp:  float64(bytes) / float64(measured),
 		Recycled:    q.ReclaimedSegments() - before,
+		Stacks:      stacks,
 	}
 }
 
@@ -232,17 +326,7 @@ func TopoSteadyStateAllocs(ops int) SteadyStateResult {
 		q.Dequeue(hs[i%len(hs)])
 	}
 
-	// Minimum over a few rounds, like churnAllocs: runtime background work
-	// (timers, GC metadata — the Gosched rung hands the processor to the
-	// scheduler, which occasionally runs some) can land a handful of stray
-	// allocations inside one window, while a genuine hot-path allocation
-	// shows up in every round at >= 1 alloc/op.
-	res := SteadyStateResult{Ops: ops}
-	var m0, m1 runtime.MemStats
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
+	run := func() {
 		for i := 0; i < ops; i++ {
 			h := hs[i%len(hs)]
 			q.Enqueue(h, p)
@@ -254,15 +338,21 @@ func TopoSteadyStateAllocs(ops int) SteadyStateResult {
 				q.Dequeue(h)
 			}
 		}
-		runtime.ReadMemStats(&m1)
-		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(ops)
-		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops)
-		if r == 0 || allocs < res.AllocsPerOp {
-			res.AllocsPerOp = allocs
-			res.BytesPerOp = bytes
-		}
 	}
-	return res
+	// One untimed pass first: the EMPTY sweeps widen each lane's live
+	// segment window over its first pass (four fresh segments), and the
+	// pools settle only after that. Then the measured pass, attributed
+	// (queueAllocs): the Gosched rung hands the processor to the scheduler,
+	// and the runtime work that runs then (starting an M, timers) allocates
+	// without a queue frame.
+	run()
+	objs, bytes, stacks := queueAllocs(run)
+	return SteadyStateResult{
+		Ops:         ops,
+		AllocsPerOp: float64(objs) / float64(ops),
+		BytesPerOp:  float64(bytes) / float64(ops),
+		Stacks:      stacks,
+	}
 }
 
 // ChurnAllocsResult reports the heap traffic of a handle-lifecycle churn

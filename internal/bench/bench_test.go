@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wfqueue/internal/core"
 	_ "wfqueue/internal/registry" // register all queue implementations
 	"wfqueue/internal/workload"
 )
@@ -414,6 +415,49 @@ func TestSteadyStateAllocsZero(t *testing.T) {
 	}
 	if r.Recycled == 0 {
 		t.Error("measurement window recycled no segments; it proves nothing about the segment path")
+	}
+}
+
+// queueAllocs must count an allocation made under a queue frame, with its
+// stack, and leave out one made by code outside the queue packages.
+func TestQueueAllocsAttribution(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
+	}
+	var sink []*core.Queue
+	objs, bytes, stacks := queueAllocs(func() { sink = append(sink, core.New(1)) })
+	if objs == 0 || bytes == 0 {
+		t.Errorf("core.New counted as %d objects, %d bytes; want > 0", objs, bytes)
+	}
+	if len(stacks) == 0 || !strings.Contains(strings.Join(stacks, ""), "wfqueue/internal/core.New") {
+		t.Errorf("no stack names core.New:\n%s", strings.Join(stacks, "\n"))
+	}
+	var other [][]byte
+	objs, _, stacks = queueAllocs(func() {
+		for i := 0; i < 100; i++ {
+			other = append(other, make([]byte, 64+i))
+		}
+	})
+	if objs != 0 {
+		t.Errorf("allocations outside the queue packages counted as %d objects at:\n%s",
+			objs, strings.Join(stacks, "\n"))
+	}
+	runtime.KeepAlive(sink)
+	runtime.KeepAlive(other)
+}
+
+// TestCoalesceSteadyStateAllocsZero is the coalescing zero-allocation gate
+// at every window the coalesce subcommand sweeps.
+func TestCoalesceSteadyStateAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
+	}
+	for _, w := range []int{1, 4, 16, 64} {
+		st := CoalesceSteadyStateAllocs(200_000, w)
+		if st.AllocsPerOp != 0 {
+			t.Errorf("window %d: %.6f allocs/op at steady state, want 0, at:\n%s",
+				w, st.AllocsPerOp, strings.Join(st.Stacks, "\n"))
+		}
 	}
 }
 

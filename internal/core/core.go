@@ -113,8 +113,9 @@ type cell struct {
 }
 
 // segment is 2^segShift cells plus list linkage. Segment ids increase by
-// one along the list; cell Q[i] lives in segment i>>segShift at offset
-// i&segMask.
+// one along the list; cell Q[i] lives in segment i>>segShift at a slot that
+// is a fixed permutation of the offset i&segMask, which keeps consecutive
+// indices off each other's cache lines (slotRotation, findCell).
 type segment struct {
 	id    int64
 	next  unsafe.Pointer // *segment
@@ -331,6 +332,7 @@ type Queue struct {
 
 	segShift   uint
 	segMask    int64
+	slotRot    uint // findCell's in-segment slot rotation (slotRotation)
 	patience   int
 	maxSpin    int
 	maxGarbage int64
@@ -466,6 +468,7 @@ func New(maxThreads int, opts ...Option) *Queue {
 	q := &Queue{
 		segShift:   cfg.segShift,
 		segMask:    (1 << cfg.segShift) - 1,
+		slotRot:    slotRotation(cfg.segShift),
 		patience:   cfg.patience,
 		maxSpin:    cfg.maxSpin,
 		maxGarbage: cfg.maxGarbage,

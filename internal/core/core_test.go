@@ -268,6 +268,24 @@ func TestConcurrentRecycling(t *testing.T) {
 	}
 }
 
+// TestConcurrentRemappedSegments is TestConcurrentRecycling at shift 4, the
+// smallest segment where findCell's slot map is active on 64-bit targets,
+// with patience 0 so helpers reach the slow path through remapped cells.
+func TestConcurrentRemappedSegments(t *testing.T) {
+	per := 5000
+	if testing.Short() {
+		per = 500
+	}
+	q := New(16, WithSegmentShift(4), WithMaxGarbage(1), WithRecycling(true), WithPatience(0))
+	if q.slotRot == 0 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Fatal("slot map inactive at shift 4")
+	}
+	produceConsume(t, q, 4, 4, per)
+	if q.ReclaimedSegments() == 0 {
+		t.Error("16-cell segments with MaxGarbage=1 should have reclaimed segments")
+	}
+}
+
 func TestOversubscribed(t *testing.T) {
 	per := 2000
 	if testing.Short() {

@@ -249,9 +249,14 @@ func (q *Queue) helpEnq(h *Handle, c *cell, i int64) unsafe.Pointer {
 	case tryToClaimReq(&r.state, stateID(s), i):
 		q.enqCommit(c, v, i)
 		ctrInc(&h.stats.HelpEnq)
-	case !statePending(s) && stateID(s) == i && atomic.LoadPointer(&c.val) == topVal:
+	case atomic.LoadUint64(&r.state) == packState(false, i) && atomic.LoadPointer(&c.val) == topVal:
 		// Someone claimed this request for cell i but has not committed
-		// the value yet; commit on their behalf (line 125).
+		// the value yet; commit on their behalf (line 125). The state is
+		// re-read after the failed claim, as the reference code's CAS
+		// returns the current word: the claim that beat ours may be the
+		// enqueuer's own, for this very cell. Testing the stale pending
+		// state instead would move this dequeuer past cell i, and the
+		// enqueuer would then commit its value where no dequeuer looks.
 		q.enqCommit(c, v, i)
 	}
 	return atomic.LoadPointer(&c.val) // ⊤ or a value

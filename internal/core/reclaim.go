@@ -12,9 +12,17 @@ import (
 // themselves.
 func (q *Queue) cleanup(h *Handle) {
 	i := atomic.LoadInt64(&q.I)
-	e := (*segment)(atomic.LoadPointer(&h.head))
 	if i == -1 {
 		return // another thread is cleaning
+	}
+	// The garbage threshold first, on the handle's own head segment, as in
+	// the paper: nearly every call stops here, before touching the
+	// contended T and H lines below. The clamp can only lower the target,
+	// so this early exit rejects nothing the full test would accept.
+	e := (*segment)(atomic.LoadPointer(&h.head))
+	eid := sid(e)
+	if eid-i < q.maxGarbage {
+		return // not enough garbage to amortize a scan
 	}
 	// §3.6: segment[k] is retired only when BOTH T and H have moved past
 	// k×N. The cleaner's head segment tracks H; additionally clamp the
@@ -27,19 +35,15 @@ func (q *Queue) cleanup(h *Handle) {
 		limit = hIdx
 	}
 	limitSeg := limit >> q.segShift
-	eid := sid(e)
-	if eid > limitSeg {
-		eid = limitSeg
-	}
-	if eid-i < q.maxGarbage {
-		return // not enough garbage to amortize a scan
+	if min(eid, limitSeg)-i < q.maxGarbage {
+		return // not enough garbage below the clamp
 	}
 	if !atomic.CompareAndSwapInt64(&q.I, i, -1) {
 		return // lost the race to another cleaner
 	}
 
 	s := (*segment)(atomic.LoadPointer(&q.q))
-	if sid(e) > limitSeg {
+	if eid > limitSeg {
 		// Walk from the oldest segment (id I ≤ limitSeg) to the clamped
 		// target; it is reachable because the list is only truncated at
 		// the front by the (mutually excluded) cleaner itself.

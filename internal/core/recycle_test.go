@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,8 +30,17 @@ func drive(q *Queue, h *Handle, pairs int) {
 // an operation is in between publishing its hazard pointer and reading
 // cells (enqueue.go:18, dequeue.go:14). Everything cleanup consults —
 // hzdp, head, tail — says the segment is live.
+//
+// It runs at shift 2, where findCell's slot map is the identity, and at
+// shift 4, where the map is active.
 func TestRecycleBlockedByHazard(t *testing.T) {
-	q := New(2, WithSegmentShift(2), WithMaxGarbage(1), WithRecycling(true))
+	for _, shift := range []uint{2, 4} {
+		t.Run(fmt.Sprintf("shift%d", shift), func(t *testing.T) { recycleBlockedByHazard(t, shift) })
+	}
+}
+
+func recycleBlockedByHazard(t *testing.T, shift uint) {
+	q := New(2, WithSegmentShift(shift), WithMaxGarbage(1), WithRecycling(true))
 	reader := mustRegister(t, q)
 	worker := mustRegister(t, q)
 
@@ -95,14 +105,21 @@ func TestRecycleBlockedByHazard(t *testing.T) {
 // handshake of §3.6, mirrored from helpDeq's re-read) and then asserts the
 // protected segment's id never changes while protected — the invariant
 // clear(s.cells) relies on. Run with -race for the memory-model half of
-// the argument.
+// the argument. Like TestRecycleBlockedByHazard it runs with the slot map
+// off (shift 2) and on (shift 4).
 func TestRecycleHazardRace(t *testing.T) {
+	for _, shift := range []uint{2, 4} {
+		t.Run(fmt.Sprintf("shift%d", shift), func(t *testing.T) { recycleHazardRace(t, shift) })
+	}
+}
+
+func recycleHazardRace(t *testing.T, shift uint) {
 	const (
 		readers = 2
 		workers = 2
 		pairs   = 4000
 	)
-	q := New(readers+workers, WithSegmentShift(2), WithMaxGarbage(1), WithRecycling(true))
+	q := New(readers+workers, WithSegmentShift(shift), WithMaxGarbage(1), WithRecycling(true))
 	var readerWG, workerWG sync.WaitGroup
 	var stop atomic.Bool
 

@@ -1,13 +1,39 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
+
+	"wfqueue/internal/pad"
 )
 
 // sid atomically reads a segment's id; see newSegment for why this must be
 // atomic when recycling is enabled.
 func sid(s *segment) int64 { return atomic.LoadInt64(&s.id) }
+
+// slotRotation returns how far findCell rotates a cell's in-segment offset
+// to get its slot, for segments of 1<<segShift cells. Consecutive indices go
+// to different threads (they are consecutive FAA tickets), but consecutive
+// 24-byte cells share a cache line, so without the map the owners of
+// tickets i and i+1 false-share. Rotating the offset left by k bits puts
+// index i+1 a stride of 2^k slots after index i, as internal/scq's
+// ring.remap does for ring slots. The stride is the smallest power of two
+// whose span reaches a full line past the end of a cell (stride·size ≥
+// line + size − 1), so two cells a stride apart never share a line wherever
+// the segment starts: 4 slots (96 B) on 64-bit targets, 8 slots (96 B) on
+// 32-bit ones. The one pair the rotation does not put a stride apart is the
+// wrap from the last row of slots to the next column, 2^segShift − 2^k − 1
+// slots apart; that reaches a stride only when the segment holds at least
+// four strides. Smaller segments get the identity (rotation 0).
+func slotRotation(segShift uint) uint {
+	const size = unsafe.Sizeof(cell{})
+	k := uint(bits.Len(uint((pad.CacheLineSize+2*size-2)/size - 1)))
+	if segShift < k+2 {
+		return 0
+	}
+	return k
+}
 
 // newSegment allocates (or recycles) a segment with the given id and all
 // cells in the initial (⊥, ⊥e, ⊥d) state. With recycling the handle's
@@ -84,7 +110,11 @@ func (q *Queue) findCell(h *Handle, sp *unsafe.Pointer, cellID int64) *cell {
 	if unsafe.Pointer(s) != orig {
 		atomic.StorePointer(sp, unsafe.Pointer(s))
 	}
-	return &s.cells[cellID&q.segMask]
+	// The slot map: the offset rotated left by slotRot bits (slotRotation).
+	// Written out rather than called, since the step certificate charges
+	// every call and findCell runs on every cell access.
+	off := cellID & q.segMask
+	return &s.cells[(off<<q.slotRot|off>>(q.segShift-q.slotRot))&q.segMask]
 }
 
 // advanceEndForLinearizability bumps the head or tail index *e to at least

@@ -62,15 +62,80 @@ func TestFindCellExtendsList(t *testing.T) {
 	if sid(s) != 2 {
 		t.Fatalf("segment pointer advanced to id %d, want 2", sid(s))
 	}
-	if &s.cells[1] != c {
-		t.Fatalf("cell 9 should be cells[1] of segment 2")
+	if want := wantSlot(q, 9); &s.cells[want] != c {
+		t.Fatalf("cell 9 should be cells[%d] of segment 2", want)
 	}
 	// Finding an *earlier* cell from an older pointer must work while the
 	// list already extends beyond it.
 	sp2 := unsafe.Pointer(q.oldestSegmentForTest())
 	c2 := q.findCell(h, &sp2, 5)
-	if (*segment)(sp2).id != 1 || &(*segment)(sp2).cells[1] != c2 {
+	if (*segment)(sp2).id != 1 || &(*segment)(sp2).cells[wantSlot(q, 5)] != c2 {
 		t.Fatal("findCell mislocated cell 5")
+	}
+}
+
+// wantSlot is the slot map as slotRotation documents it: the in-segment
+// offset of index i, rotated left by the queue's rotation.
+func wantSlot(q *Queue, i int64) int64 {
+	off, n, k := i&q.segMask, q.segShift, slotRotation(q.segShift)
+	return (off<<k | off>>(n-k)) & q.segMask
+}
+
+// findCell's slot map must be a permutation of every segment's cells, for
+// every segment size WithSegmentShift accepts: two indices sharing a slot
+// would share a cell. It must also be the documented rotation.
+func TestSlotMapIsBijection(t *testing.T) {
+	for shift := uint(1); shift <= 20; shift++ {
+		q := New(1, WithSegmentShift(shift))
+		h := mustRegister(t, q)
+		sp := atomic.LoadPointer(&h.tail)
+		s := (*segment)(sp)
+		n := q.SegmentSize()
+		seen := make([]bool, n)
+		for i := int64(0); i < n; i++ {
+			c := q.findCell(h, &sp, i)
+			k := int64(uintptr(unsafe.Pointer(c))-uintptr(unsafe.Pointer(&s.cells[0]))) / int64(unsafe.Sizeof(cell{}))
+			if k < 0 || k >= n || seen[k] {
+				t.Fatalf("shift %d: index %d maps to slot %d, out of range or taken", shift, i, k)
+			}
+			if want := wantSlot(q, i); k != want {
+				t.Fatalf("shift %d: index %d at slot %d, want %d", shift, i, k, want)
+			}
+			seen[k] = true
+		}
+	}
+}
+
+// Wherever the slot map is active, the cells of consecutive indices must
+// never share a cache line. Measured on real cell addresses, so it holds
+// for the cell size and segment placement of the running target.
+func TestSlotMapSeparatesNeighbours(t *testing.T) {
+	const line = 64
+	active := 0
+	for shift := uint(1); shift <= 12; shift++ {
+		if slotRotation(shift) == 0 {
+			continue
+		}
+		active++
+		q := New(1, WithSegmentShift(shift))
+		h := mustRegister(t, q)
+		sp := atomic.LoadPointer(&h.tail)
+		size := uintptr(unsafe.Sizeof(cell{}))
+		for i := int64(0); i+1 < q.SegmentSize(); i++ {
+			a := uintptr(unsafe.Pointer(q.findCell(h, &sp, i)))
+			b := uintptr(unsafe.Pointer(q.findCell(h, &sp, i+1)))
+			lo, hi := min(a, b), max(a, b)
+			if (lo+size-1)/line >= hi/line {
+				t.Fatalf("shift %d: cells %d and %d at %#x and %#x share a %d-byte line",
+					shift, i, i+1, a, b, line)
+			}
+		}
+	}
+	if active == 0 {
+		t.Fatal("the slot map is the identity at every shift up to 12")
+	}
+	if slotRotation(DefaultSegmentShift) == 0 {
+		t.Fatal("the slot map is off at the default segment size")
 	}
 }
 

@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"wfqueue/internal/core"
 	"wfqueue/internal/lincheck"
 	"wfqueue/internal/qiface"
 	"wfqueue/internal/workload"
@@ -14,11 +16,16 @@ import (
 // resulting history for linearizability.
 func runRecordedScenario(t *testing.T, name string, nthreads, opsPerThread int, seed uint64) {
 	t.Helper()
-	f := MustLookup(name)
-	q, err := f.New(nthreads)
+	q, err := MustLookup(name).New(nthreads)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recordScenario(t, name, q, nthreads, opsPerThread, seed)
+}
+
+// recordScenario is runRecordedScenario over an already-built queue.
+func recordScenario(t *testing.T, name string, q qiface.Queue, nthreads, opsPerThread int, seed uint64) {
+	t.Helper()
 	col := lincheck.NewCollector(nthreads)
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -166,11 +173,16 @@ func TestBoundedLinearizabilitySCQ(t *testing.T) {
 // adds one EMPTY op asserting the implementation's emptiness claim.
 func runRecordedBatchScenario(t *testing.T, name string, nthreads, opsPerThread, maxBatch int, seed uint64) {
 	t.Helper()
-	f := MustLookup(name)
-	q, err := f.New(nthreads)
+	q, err := MustLookup(name).New(nthreads)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recordBatchScenario(t, name, q, nthreads, opsPerThread, maxBatch, seed)
+}
+
+// recordBatchScenario is runRecordedBatchScenario over an already-built queue.
+func recordBatchScenario(t *testing.T, name string, q qiface.Queue, nthreads, opsPerThread, maxBatch int, seed uint64) {
+	t.Helper()
 	col := lincheck.NewCollector(nthreads)
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -241,6 +253,35 @@ func TestBatchLinearizabilityAllQueues(t *testing.T) {
 			for trial := 0; trial < trials/4; trial++ {
 				// Worst case 2 threads * 2 ops * (5+1) = 24 recorded ops.
 				runRecordedBatchScenario(t, name, 2, 2, 5, uint64(trial)*523+3)
+			}
+		})
+	}
+}
+
+// TestLinearizabilityRemappedSegments runs the single-op and batched
+// scenarios over the core queue at shift 4, the smallest segment where
+// findCell's slot map is active on 64-bit targets (wf-10-tiny's shift 2 is
+// below it), with eager reclamation and recycling so histories cross
+// remapped segment boundaries. Patience 0 and 10 cover both paths.
+func TestLinearizabilityRemappedSegments(t *testing.T) {
+	trials := 40
+	if testing.Short() {
+		trials = 8
+	}
+	for _, patience := range []int{0, 10} {
+		name := fmt.Sprintf("wf-%d-shift4", patience)
+		t.Run(name, func(t *testing.T) {
+			build := func(n int) qiface.Queue {
+				q, err := newWF(name, n, patience, true, true,
+					core.WithSegmentShift(4), core.WithMaxGarbage(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return q
+			}
+			for trial := 0; trial < trials; trial++ {
+				recordScenario(t, name, build(3), 3, 6, uint64(trial)*131+7)
+				recordBatchScenario(t, name, build(3), 3, 2, 2, uint64(trial)*419+11)
 			}
 		})
 	}

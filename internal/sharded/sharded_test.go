@@ -73,6 +73,8 @@ func TestBattery(t *testing.T) {
 		"Lanes2":     {WithLanes(2)},
 		"Lanes4":     {WithLanes(4)},
 		"Lanes3Tiny": {WithLanes(3), WithCoreOptions(core.WithRecycling(true), core.WithSegmentShift(2), core.WithMaxGarbage(1))},
+		// Shift 4: the smallest segment where core's slot map is active.
+		"Lanes3Remapped": {WithLanes(3), WithCoreOptions(core.WithRecycling(true), core.WithSegmentShift(4), core.WithMaxGarbage(1))},
 	}
 	for name, opts := range configs {
 		opts := opts
