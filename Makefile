@@ -6,7 +6,7 @@ GO ?= go
 # lands here; the directory is untracked (see .gitignore).
 ARTIFACTS ?= artifacts
 
-.PHONY: all build vet lint cert cert-check test race short bench bench-json bench-json-sharded bench-adaptive bench-handles bench-scq bench-coalesce bench-topo bench-trajectory bench-all bench-compare fuzz stress soak ci experiments examples clean
+.PHONY: all build vet lint cert cert-check test race short bench bench-json bench-json-sharded bench-handles bench-scq bench-coalesce bench-topo bench-trajectory bench-all bench-compare fuzz stress soak ci experiments examples clean
 
 all: build vet lint test
 
@@ -70,23 +70,10 @@ bench-json-sharded:
 		-queues wf-sharded,wf-sharded-8,wf-sharded-1,wf-sharded-rr \
 		-threads 8 -ops 50000 -trials 3 -iters 3 -nowork -nopin
 
-# Contention-adaptivity baseline: fixed-vs-adaptive pairwise cells (wf-10
-# vs wf-adaptive, wf-sharded vs wf-sharded-adaptive) under the steady-state
-# pairs and bursty workloads at oversubscribed thread counts, with the
-# controller's final snapshot per cell. Keeps the inter-operation work on:
-# bursty quiet spells stretch it 4x, which is what gives the storm/quiet
-# alternation its shape. Writes BENCH_adaptive.json at the repo root — the
-# committed baseline.
-bench-adaptive:
-	GOMAXPROCS=8 $(GO) run ./cmd/wfqbench json -adaptive -out BENCH_adaptive.json \
-		-queues wf-10,wf-adaptive,wf-sharded,wf-sharded-adaptive \
-		-threads 8 -ops 50000 -trials 5 -iters 3 -nopin
-
 # Handle-lifecycle baseline: the exact zero-allocation gates on
-# AcquireHandle/Release (core) and Register/Release (sharded), handle-churn
-# throughput (workload.Churn) for the churn-safe queues, and the pairwise
-# wf-10 vs wf-10-mutexreg ratio proving the lock-free lifecycle churns no
-# slower than the mutex-guarded bookkeeping it replaced (DESIGN.md §6).
+# AcquireHandle/Release (core) and Register/Release (sharded), and
+# handle-churn throughput (workload.Churn) for the churn-safe queues
+# (DESIGN.md §6).
 # Writes BENCH_handles.json at the repo root — the committed baseline.
 bench-handles:
 	$(GO) run ./cmd/wfqbench handles -out BENCH_handles.json \
@@ -139,16 +126,14 @@ bench-trajectory:
 	$(GO) run ./cmd/wfqbench trajectory -out BENCH_trajectory.json
 
 # Regenerate every committed perf baseline, then the merged trajectory.
-bench-all: bench-json bench-json-sharded bench-adaptive bench-handles bench-scq bench-coalesce bench-topo bench-trajectory
+bench-all: bench-json bench-json-sharded bench-handles bench-scq bench-coalesce bench-topo bench-trajectory
 
 # Bench trajectory gate: re-run the committed baselines' measurements and
 # fail on any steady-state allocation regression, or (on the baseline's
-# platform) on a >20% wall throughput drop, a bursty cell where the
-# adaptive variant falls behind its fixed twin, or a steady-state cell
-# where adaptivity taxes throughput beyond tolerance. CI runs this.
+# platform) on a >20% wall throughput drop or a coalescing window that
+# falls below its pairwise floor. CI runs this.
 bench-compare:
 	$(GO) run ./cmd/wfqbench compare -baseline BENCH_core.json -nowork -nopin
-	GOMAXPROCS=8 $(GO) run ./cmd/wfqbench compare -baseline BENCH_adaptive.json -nopin
 	$(GO) run ./cmd/wfqbench compare -baseline BENCH_coalesce.json -nowork -nopin
 
 fuzz:
@@ -166,8 +151,6 @@ soak: | $(ARTIFACTS)
 		$(GO) run ./cmd/wfqstress -queue $$q -threads 8 -duration 10s || exit 1; \
 	done 2>&1 | tee $(ARTIFACTS)/soak_output.txt
 	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -batch 8 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
-	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -adaptive -bursty 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
-	$(GO) run ./cmd/wfqstress -queue wf-sharded -threads 8 -duration 10s -adaptive -bursty 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
 	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -coalesce 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
 	$(GO) run ./cmd/wfqstress -queue wf-sharded -threads 8 -duration 10s -coalesce 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
 	$(GO) run ./cmd/wfqstress -topo -churn -threads 8 -duration 10s 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt

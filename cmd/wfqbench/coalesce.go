@@ -144,12 +144,12 @@ func runCoalesce(o options, tolerance float64) {
 	// Pairwise run-grouped throughput: each window's rounds interleave with
 	// a wf-10 round, and every side keeps its best — machine-load drift only
 	// ever slows a round down, so best-of under interleaving is the fairest
-	// same-run comparison (see adaptiveRounds).
+	// same-run comparison (see pairwiseRounds).
 	for i := range doc.Windows {
 		row := &doc.Windows[i]
 		var coalWall float64
 		var coalRes bench.Result
-		for r := 0; r < adaptiveRounds; r++ {
+		for r := 0; r < pairwiseRounds; r++ {
 			cres, err := bench.Run(cfg(row.Queue))
 			if err != nil {
 				fatalf("coalesce %s: %v", row.Queue, err)

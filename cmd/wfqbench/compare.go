@@ -22,16 +22,6 @@ package main
 // (live-heap growth across a short stalled-consumer phase) base vs fresh,
 // informational, with "-" for baselines written before the field existed.
 // The gated retention bounds live in `wfqbench scq`.
-//
-// When the baseline carries an adaptive section (written by `wfqbench json
-// -adaptive`), compare re-measures each fixed-vs-adaptive pair fresh and
-// gates the pairwise ratios — same-run, same-host ratios, so they are gated
-// whenever throughput is gated at all:
-//
-//   - bursty rows: adaptive wall throughput must not fall below fixed
-//     (minus a small noise grace) — the regime adaptivity exists for;
-//   - steady-state pairs rows: adaptive must not run more than -tolerance
-//     behind fixed — adaptivity must not tax the uncontended path.
 
 import (
 	"encoding/json"
@@ -183,10 +173,6 @@ func runCompare(o options, baselinePath string, tolerance float64, strict bool) 
 	}
 	fmt.Println()
 
-	if len(base.Adaptive) > 0 {
-		failures = append(failures, compareAdaptive(o, base, tolerance, gateThroughput)...)
-	}
-
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintf(os.Stderr, "wfqbench compare: REGRESSION: %s\n", f)
@@ -201,10 +187,10 @@ func runCompare(o options, baselinePath string, tolerance float64, strict bool) 
 // (wfqbench coalesce): it re-runs the per-window zero-allocation gate
 // (always; deterministic) and the pairwise run-grouped ratios against wf-10
 // with the baseline's own parameters. The pairwise gates are same-run
-// ratios, so like the adaptive gates they apply whenever throughput gating
-// is on: window 1 within -tolerance of wf-10, and window 16 — coalescing's
-// headline — never below wf-10 minus the noise grace (a coalesced queue
-// must never be a pessimization against the plain queue it wraps).
+// ratios, so they apply whenever throughput gating is on: window 1 within
+// -tolerance of wf-10, and window 16 — coalescing's headline — never below
+// wf-10 minus the noise grace (a coalesced queue must never be a
+// pessimization against the plain queue it wraps).
 func runCompareCoalesce(o options, raw []byte, baselinePath string, tolerance float64, strict bool) {
 	var base coalesceDoc
 	if err := json.Unmarshal(raw, &base); err != nil {
@@ -245,7 +231,7 @@ func runCompareCoalesce(o options, raw []byte, baselinePath string, tolerance fl
 				row.Window, st.AllocsPerOp, st.AllocSites()))
 		}
 		var coalWall, baseWall float64
-		for r := 0; r < adaptiveRounds; r++ {
+		for r := 0; r < pairwiseRounds; r++ {
 			cres, err := bench.Run(cfg(row.Queue))
 			if err != nil {
 				fatalf("compare coalesce %s: %v", row.Queue, err)
@@ -340,7 +326,7 @@ func runCompareTopo(o options, raw []byte, baselinePath string, tolerance float6
 	}
 	prev := runtime.GOMAXPROCS(top)
 	var topoWall, shardedWall float64
-	for r := 0; r < adaptiveRounds; r++ {
+	for r := 0; r < pairwiseRounds; r++ {
 		tres, err := bench.Run(o.config("wf-sharded-topo", workload.Pairs, top))
 		if err != nil {
 			runtime.GOMAXPROCS(prev)
@@ -374,70 +360,4 @@ func runCompareTopo(o options, raw []byte, baselinePath string, tolerance float6
 		os.Exit(1)
 	}
 	fmt.Println("compare: OK — topo gates hold (zero allocs on the topology surface; pairwise ratio within bounds)")
-}
-
-// adaptiveBurstyGrace absorbs run-to-run noise in the bursty adaptive gate:
-// the requirement is adaptive ≥ fixed, enforced as ratio ≥ 1-grace so a
-// genuinely-even pair doesn't flap the gate.
-const adaptiveBurstyGrace = 0.05
-
-// compareAdaptive re-measures the baseline's fixed-vs-adaptive pairs and
-// returns gate failures. The ratios are pairwise within THIS run — both
-// sides measured back to back on this host — so unlike cross-run Mops they
-// hold on any platform; they are still gated only when throughput gating is
-// on, because an overloaded runner can starve either side of a pair.
-func compareAdaptive(o options, base jsonDoc, tolerance float64, gate bool) []string {
-	var failures []string
-	fmt.Println("adaptive pair | workload | base ratio | fresh fixed | fresh adaptive | fresh ratio")
-	fmt.Println("--- | --- | --- | --- | --- | ---")
-	for _, row := range base.Adaptive {
-		k, ok := workload.ParseKind(row.Workload)
-		if !ok {
-			failures = append(failures, fmt.Sprintf(
-				"adaptive row %s/%s: unknown workload %q", row.Fixed, row.Adaptive, row.Workload))
-			continue
-		}
-		// Same interleaved best-of-rounds methodology as the baseline
-		// emitter (runAdaptiveSection): interference only ever slows a
-		// round, so the per-side max cancels machine-load drift that a
-		// single back-to-back round would fold into the ratio.
-		var fw, aw float64
-		for r := 0; r < adaptiveRounds; r++ {
-			fixed, err := bench.Run(o.config(row.Fixed, k, row.Threads))
-			if err != nil {
-				fatalf("compare adaptive %s: %v", row.Fixed, err)
-			}
-			adap, err := bench.Run(o.config(row.Adaptive, k, row.Threads))
-			if err != nil {
-				fatalf("compare adaptive %s: %v", row.Adaptive, err)
-			}
-			fw = math.Max(fw, fixed.WallInterval.Mean)
-			aw = math.Max(aw, adap.WallInterval.Mean)
-		}
-		ratio := 0.0
-		if fw > 0 {
-			ratio = aw / fw
-		}
-		fmt.Printf("%s vs %s | %s | %.2fx | %.2f | %.2f | %.2fx\n",
-			row.Fixed, row.Adaptive, row.Workload, row.AdaptiveOverFixed, fw, aw, ratio)
-		if !gate {
-			continue
-		}
-		switch k {
-		case workload.Bursty:
-			if ratio < 1-adaptiveBurstyGrace {
-				failures = append(failures, fmt.Sprintf(
-					"%s vs %s (bursty): adaptive wall %.2f < fixed %.2f Mops/s (%.2fx, want >= %.2fx)",
-					row.Fixed, row.Adaptive, aw, fw, ratio, 1-adaptiveBurstyGrace))
-			}
-		default:
-			if ratio < 1-tolerance {
-				failures = append(failures, fmt.Sprintf(
-					"%s vs %s (%s): adaptivity taxes the steady state %.2f -> %.2f Mops/s (%.2fx < %.2fx floor)",
-					row.Fixed, row.Adaptive, row.Workload, fw, aw, ratio, 1-tolerance))
-			}
-		}
-	}
-	fmt.Println()
-	return failures
 }

@@ -9,15 +9,10 @@ package main
 //     Register/Release on the sharded pool must both be allocation-free
 //     (DESIGN.md §6) — any nonzero allocs/cycle exits 1,
 //   - handle-churn throughput (workload.Churn: register → pairs → release
-//     cycles) for every selected churn-safe queue,
-//   - the pairwise wf-10 / wf-10-mutexreg churn ratio from interleaved
-//     best-of rounds — the refactor's headline: the lock-free lifecycle must
-//     not churn slower than the mutex-guarded bookkeeping it replaced
-//     (a drop past -tolerance exits 1).
+//     cycles) for every selected churn-safe queue.
 //
 // Like the json subcommand, absolute Mops/s across runs are trajectory, not
-// gates; the gates here are the deterministic allocation counts and the
-// same-run pairwise ratio.
+// gates; the gates here are the deterministic allocation counts.
 
 import (
 	"encoding/json"
@@ -41,7 +36,6 @@ type handlesDoc struct {
 	// keys on, by layer ("core", "sharded").
 	Lifecycle map[string]handlesLifecycle `json:"lifecycle_steady_state"`
 	Queues    []jsonQueue                 `json:"queues"`
-	Pairwise  handlesPairwise             `json:"pairwise"`
 }
 
 type handlesLifecycle struct {
@@ -50,18 +44,8 @@ type handlesLifecycle struct {
 	BytesPerCycle  float64 `json:"bytes_per_cycle"`
 }
 
-type handlesPairwise struct {
-	// LockfreeOverMutex is wf-10's churn wall throughput over
-	// wf-10-mutexreg's, best-of-R with the sides interleaved (see
-	// adaptiveRounds for why). >= 1 means the lock-free lifecycle won.
-	LockfreeOverMutex float64 `json:"wf10_over_mutexreg_churn_wall"`
-	LockfreeWallMops  float64 `json:"wf10_churn_wall_mops"`
-	MutexWallMops     float64 `json:"mutexreg_churn_wall_mops"`
-	Threads           int     `json:"threads"`
-}
-
-// handlesQueueSet returns the churn-capable subset of the selection with the
-// pairwise pair always included. Queues without the churn contract are
+// handlesQueueSet returns the churn-capable subset of the selection with
+// wf-10 and wf-sharded always included. Queues without the churn contract are
 // dropped (the default -queues set carries the paper's baselines, which
 // predate Release) rather than erroring, so `wfqbench handles` composes with
 // the same flags as every other subcommand.
@@ -72,7 +56,7 @@ func handlesQueueSet(selected []string) []string {
 			qs = append(qs, qn)
 		}
 	}
-	for _, need := range []string{"wf-10", "wf-sharded", "wf-10-mutexreg"} {
+	for _, need := range []string{"wf-10", "wf-sharded"} {
 		if !slices.Contains(qs, need) {
 			qs = append(qs, need)
 		}
@@ -80,7 +64,7 @@ func handlesQueueSet(selected []string) []string {
 	return qs
 }
 
-func runHandles(o options, tolerance float64) {
+func runHandles(o options) {
 	threads := runtime.NumCPU()
 	if threads > 4 {
 		threads = 4
@@ -144,31 +128,6 @@ func runHandles(o options, tolerance float64) {
 			qn, row.Mops, row.WallMops, row.AllocsPerOp)
 	}
 
-	// Pairwise: interleaved best-of rounds, same rationale as the adaptive
-	// section — machine-load drift only slows rounds down, so the best round
-	// per side under interleaving is the fairest same-run comparison.
-	var lockfree, mutex float64
-	for r := 0; r < adaptiveRounds; r++ {
-		lf, err := bench.Run(o.config("wf-10", workload.Churn, threads))
-		if err != nil {
-			fatalf("handles pairwise wf-10: %v", err)
-		}
-		mx, err := bench.Run(o.config("wf-10-mutexreg", workload.Churn, threads))
-		if err != nil {
-			fatalf("handles pairwise wf-10-mutexreg: %v", err)
-		}
-		lockfree = max(lockfree, lf.WallInterval.Mean)
-		mutex = max(mutex, mx.WallInterval.Mean)
-	}
-	doc.Pairwise = handlesPairwise{
-		LockfreeWallMops: lockfree,
-		MutexWallMops:    mutex,
-		Threads:          threads,
-	}
-	if mutex > 0 {
-		doc.Pairwise.LockfreeOverMutex = lockfree / mutex
-	}
-
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fatalf("handles: %v", err)
@@ -177,18 +136,15 @@ func runHandles(o options, tolerance float64) {
 	if err := os.WriteFile(o.outPath, buf, 0o644); err != nil {
 		fatalf("handles: %v", err)
 	}
-	fmt.Printf("handles: wrote %s (core %.4f allocs/cycle, sharded %.4f allocs/cycle; lockfree/mutex churn = %.2fx at T=%d)\n",
-		o.outPath, coreChurn.AllocsPerCycle, shardedChurn.AllocsPerCycle,
-		doc.Pairwise.LockfreeOverMutex, threads)
+	fmt.Printf("handles: wrote %s (core %.4f allocs/cycle, sharded %.4f allocs/cycle)\n",
+		o.outPath, coreChurn.AllocsPerCycle, shardedChurn.AllocsPerCycle)
 
 	if coreChurn.AllocsPerCycle > 0 {
-		fatalf("core AcquireHandle/Release allocated %.4f objects/cycle, want 0 (gate failed)", coreChurn.AllocsPerCycle)
+		fatalf("core AcquireHandle/Release allocated %.4f objects/cycle, want 0 (gate failed), at:\n%s",
+			coreChurn.AllocsPerCycle, coreChurn.AllocSites())
 	}
 	if shardedChurn.AllocsPerCycle > 0 {
-		fatalf("sharded Register/Release allocated %.4f objects/cycle, want 0 (gate failed)", shardedChurn.AllocsPerCycle)
-	}
-	if doc.Pairwise.LockfreeOverMutex < 1-tolerance {
-		fatalf("lock-free churn throughput is %.2fx the mutex baseline, below the %.2f floor (gate failed)",
-			doc.Pairwise.LockfreeOverMutex, 1-tolerance)
+		fatalf("sharded Register/Release allocated %.4f objects/cycle, want 0 (gate failed), at:\n%s",
+			shardedChurn.AllocsPerCycle, shardedChurn.AllocSites())
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"wfqueue/internal/bench"
-	"wfqueue/internal/qiface"
 	"wfqueue/internal/registry"
 	"wfqueue/internal/workload"
 )
@@ -42,10 +41,6 @@ type jsonDoc struct {
 	Core     jsonCore     `json:"core_steady_state"`
 	Queues   []jsonQueue  `json:"queues"`
 	Pairwise jsonPairwise `json:"pairwise"`
-	// Adaptive holds fixed-vs-adaptive cells measured in this same run
-	// (-adaptive): each row is one (fixed, adaptive) implementation pair
-	// under one workload, with the adaptive controller's final snapshot.
-	Adaptive []jsonAdaptivePair `json:"adaptive,omitempty"`
 }
 
 type jsonPlatform struct {
@@ -105,36 +100,6 @@ type jsonPairwise struct {
 	ShardedVsBase float64 `json:"wf_sharded_over_wf10_wall,omitempty"`
 	// ShardedName records which variant ShardedVsBase measured.
 	ShardedName string `json:"wf_sharded_variant,omitempty"`
-}
-
-// jsonAdaptivePair records one fixed-vs-adaptive measurement: the same
-// queue shape with the contention-adaptive controller off and on, run under
-// identical conditions in the same invocation, so the ratio is a same-host
-// same-run comparison (the only kind this repo treats as signal).
-type jsonAdaptivePair struct {
-	Fixed    string `json:"fixed"`
-	Adaptive string `json:"adaptive"`
-	Workload string `json:"workload"`
-	Threads  int    `json:"threads"`
-
-	FixedWallMops    float64 `json:"fixed_wall_mops"`
-	AdaptiveWallMops float64 `json:"adaptive_wall_mops"`
-	// AdaptiveOverFixed is adaptive wall throughput over fixed wall
-	// throughput: >1 means adaptivity won this cell.
-	AdaptiveOverFixed float64 `json:"adaptive_over_fixed_wall"`
-
-	// Snapshot is the adaptive queue's controller state after its last
-	// trial: where the knobs settled and how much backoff/diverting the
-	// run induced.
-	Snapshot *qiface.AdaptiveSnapshot `json:"snapshot,omitempty"`
-}
-
-// adaptivePairs are the fixed/adaptive implementation pairs the -adaptive
-// section measures, under both the steady-state pairs workload (adaptivity
-// must not cost) and the bursty workload (where it should win).
-var adaptivePairs = [][2]string{
-	{"wf-10", "wf-adaptive"},
-	{"wf-sharded", "wf-sharded-adaptive"},
 }
 
 // jsonQueueSet returns the queues the baseline covers: the user's -queues
@@ -226,10 +191,6 @@ func runJSON(o options) {
 		}
 	}
 
-	if o.adaptive {
-		doc.Adaptive = runAdaptiveSection(o, threads)
-	}
-
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fatalf("json: %v", err)
@@ -273,70 +234,9 @@ func retainedStr(b *uint64) string {
 	return fmt.Sprintf("%d B", *b)
 }
 
-// adaptiveRounds is how many interleaved fixed/adaptive measurement rounds
-// one cell runs. Each side's figure is its best round: interference from
-// other load only ever slows a round down, so best-of-R with the sides
+// pairwiseRounds is how many interleaved measurement rounds one pairwise
+// ratio runs. Each side's figure is its best round: interference from other
+// load only ever slows a round down, so best-of-R with the sides
 // interleaved cancels the machine-load drift that would otherwise dominate
 // a few-percent pairwise ratio measured minutes apart.
-const adaptiveRounds = 2
-
-// runAdaptiveSection measures every (fixed, adaptive) pair under both the
-// steady-state pairs workload and the bursty workload. Thread count is
-// forced to at least 4 — contention is what the adaptive controller
-// exploits, and on small hosts that means oversubscription: descheduled
-// peers are exactly when fixed spinning burns cycles for nothing.
-func runAdaptiveSection(o options, threads int) []jsonAdaptivePair {
-	if threads < 4 {
-		threads = 4
-	}
-	var rows []jsonAdaptivePair
-	for _, pair := range adaptivePairs {
-		for _, k := range []workload.Kind{workload.Pairs, workload.Bursty} {
-			var fixedWall, adapWall float64
-			var snap *qiface.AdaptiveSnapshot
-			for r := 0; r < adaptiveRounds; r++ {
-				fixed, err := bench.Run(o.config(pair[0], k, threads))
-				if err != nil {
-					fatalf("json adaptive %s/%s: %v", pair[0], k, err)
-				}
-				adap, err := bench.Run(o.config(pair[1], k, threads))
-				if err != nil {
-					fatalf("json adaptive %s/%s: %v", pair[1], k, err)
-				}
-				fixedWall = max(fixedWall, fixed.WallInterval.Mean)
-				adapWall = max(adapWall, adap.WallInterval.Mean)
-				snap = adap.Adaptive
-			}
-			row := jsonAdaptivePair{
-				Fixed:            pair[0],
-				Adaptive:         pair[1],
-				Workload:         k.String(),
-				Threads:          threads,
-				FixedWallMops:    fixedWall,
-				AdaptiveWallMops: adapWall,
-				Snapshot:         snap,
-			}
-			if row.FixedWallMops > 0 {
-				row.AdaptiveOverFixed = row.AdaptiveWallMops / row.FixedWallMops
-			}
-			rows = append(rows, row)
-			note := ""
-			if k == workload.Bursty && row.AdaptiveOverFixed < 1 {
-				note = "  (adaptive behind fixed on bursty — noisy run?)"
-			}
-			fmt.Printf("json adaptive: %-18s vs %-20s %-28s %6.2f vs %6.2f wall Mops/s (%.2fx)%s\n",
-				pair[0], pair[1], k.String(), row.FixedWallMops, row.AdaptiveWallMops, row.AdaptiveOverFixed, note)
-			fmt.Printf("               controller: %s\n", adaptiveSnapshotSummary(row.Snapshot))
-		}
-	}
-	return rows
-}
-
-// adaptiveSnapshotSummary compacts a snapshot for terminal output.
-func adaptiveSnapshotSummary(s *qiface.AdaptiveSnapshot) string {
-	if s == nil {
-		return "none"
-	}
-	return fmt.Sprintf("steps=%d raises=%d lowers=%d casfails=%d backoff=%d diverts=%d",
-		s.Steps, s.Raises, s.Lowers, s.FastCASFails, s.BackoffIters, s.HotDiverts)
-}
+const pairwiseRounds = 2

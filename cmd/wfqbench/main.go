@@ -33,11 +33,8 @@
 //
 // The handles subcommand is the handle-lifecycle baseline emitter
 // (BENCH_handles.json): it verifies Register/Release are allocation-free for
-// the core and sharded pools (exact, deterministic — exits 1 if not), runs
-// the handle-churn workload over the churn-safe queues, and measures the
-// wf-10 vs wf-10-mutexreg pairwise ratio with the two sides interleaved —
-// the lock-free lifecycle must not lose churn throughput to the mutex
-// baseline it replaced (exits 1 past -tolerance).
+// the core and sharded pools (exact, deterministic — exits 1 if not) and
+// runs the handle-churn workload over the churn-safe queues.
 //
 // The scq subcommand is the bounded-ring baseline emitter (BENCH_scq.json):
 // it verifies the warm SCQ ring's TryEnqueue/Dequeue hot path allocates
@@ -80,9 +77,6 @@
 //	-nowork  drop the 50-100ns random inter-operation work
 //	-nopin   do not pin workers to hardware threads
 //	-csv      append rows as CSV to the given file
-//	-adaptive json: also measure the fixed-vs-adaptive pairs (wf-10 vs
-//	          wf-adaptive, wf-sharded vs wf-sharded-adaptive) under the
-//	          pairs and bursty workloads at oversubscribed thread counts
 //	-list    list registered queue implementations and exit
 package main
 
@@ -116,7 +110,6 @@ type options struct {
 	nopin      bool
 	csvPath    string
 	outPath    string
-	adaptive   bool
 	benchKs    []workload.Kind
 }
 
@@ -151,7 +144,6 @@ func main() {
 		outDefault = "BENCH_trajectory.json"
 	}
 	outPath := fs.String("out", outDefault, "json/handles: output path for the benchmark baseline")
-	adaptive := fs.Bool("adaptive", false, "json: also measure fixed-vs-adaptive pairs (pairs + bursty workloads, oversubscribed threads)")
 	baselinePath := fs.String("baseline", "BENCH_core.json", "compare: committed baseline to diff against")
 	tolerance := fs.Float64("tolerance", 0.20, "compare: allowed fractional wall-throughput drop before failing")
 	strict := fs.Bool("strict", false, "compare: gate throughput even when the platform differs from the baseline's")
@@ -166,17 +158,16 @@ func main() {
 	}
 
 	o := options{
-		plot:     *doPlot,
-		ops:      *ops,
-		batch:    *batch,
-		trials:   *trials,
-		iters:    *iters,
-		paper:    *paper,
-		nowork:   *nowork,
-		nopin:    *nopin,
-		csvPath:  *csvPath,
-		outPath:  *outPath,
-		adaptive: *adaptive,
+		plot:    *doPlot,
+		ops:     *ops,
+		batch:   *batch,
+		trials:  *trials,
+		iters:   *iters,
+		paper:   *paper,
+		nowork:  *nowork,
+		nopin:   *nopin,
+		csvPath: *csvPath,
+		outPath: *outPath,
 	}
 	if *paper {
 		o.ops = workload.DefaultOps
@@ -233,7 +224,7 @@ func main() {
 	case "json":
 		runJSON(o)
 	case "handles":
-		runHandles(o, *tolerance)
+		runHandles(o)
 	case "scq":
 		runSCQ(o, *tolerance)
 	case "coalesce":

@@ -56,7 +56,7 @@ type scqRing struct {
 
 type scqPairwise struct {
 	// SCQOverWF10 is wf-scq's pairs wall throughput over wf-10's, best-of-R
-	// with the sides interleaved (see adaptiveRounds for why): the cost of
+	// with the sides interleaved (see pairwiseRounds for why): the cost of
 	// bounded indirection against the unbounded queue under identical
 	// conditions.
 	SCQOverWF10  float64 `json:"wf_scq_over_wf10_wall"`
@@ -171,11 +171,11 @@ func runSCQ(o options, tolerance float64) {
 			qn, row.Mops, row.WallMops, row.AllocsPerOp)
 	}
 
-	// Pairwise: interleaved best-of rounds, same rationale as the adaptive
-	// section — machine-load drift only slows rounds down, so the best round
-	// per side under interleaving is the fairest same-run comparison.
+	// Pairwise: interleaved best-of rounds — machine-load drift only slows
+	// rounds down, so the best round per side under interleaving is the
+	// fairest same-run comparison (see pairwiseRounds).
 	var scqWall, wf10Wall float64
-	for r := 0; r < adaptiveRounds; r++ {
+	for r := 0; r < pairwiseRounds; r++ {
 		sq, err := bench.Run(o.config("wf-scq", workload.Pairs, threads))
 		if err != nil {
 			fatalf("scq pairwise wf-scq: %v", err)

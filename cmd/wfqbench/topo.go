@@ -159,12 +159,12 @@ func runTopo(o options, tolerance float64) {
 	}
 
 	// Pairwise at the top of the sweep: interleaved best-of rounds (see
-	// adaptiveRounds) so machine-load drift, which only ever slows a round,
+	// pairwiseRounds) so machine-load drift, which only ever slows a round,
 	// cancels out of the ratio.
 	runtime.GOMAXPROCS(top)
 	best := map[string]float64{}
 	bestRes := map[string]bench.Result{}
-	for r := 0; r < adaptiveRounds; r++ {
+	for r := 0; r < pairwiseRounds; r++ {
 		for _, qn := range topoQueues {
 			res, err := bench.Run(o.config(qn, workload.Pairs, top))
 			if err != nil {

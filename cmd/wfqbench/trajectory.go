@@ -29,7 +29,6 @@ var trajectoryManifest = []struct {
 }{
 	{2, "core", "BENCH_core.json"},
 	{3, "sharded", "BENCH_sharded.json"},
-	{5, "adaptive", "BENCH_adaptive.json"},
 	{6, "handles", "BENCH_handles.json"},
 	{7, "scq", "BENCH_scq.json"},
 	{8, "coalesce", "BENCH_coalesce.json"},

@@ -20,19 +20,12 @@
 //
 // Usage:
 //
-//	wfqstress [-queue wf-10] [-threads 8] [-duration 10s] [-mode stress|lincheck|stall] [-batch 1] [-seed 1] [-adaptive] [-coalesce] [-bursty] [-churn] [-topo]
+//	wfqstress [-queue wf-10] [-threads 8] [-duration 10s] [-mode stress|lincheck|stall]
+//	          [-batch 1] [-seed 1] [-coalesce] [-churn] [-topo]
 //
 // With -batch k > 1 both modes drive the queue through the batched
 // operations (EnqueueBatch/DequeueBatch): the wait-free queue's native
 // single-FAA k-cell reservation, or the single-op fallback for baselines.
-//
-// -adaptive swaps the selected queue for its contention-adaptive variant
-// (wf-10 → wf-adaptive, wf-sharded → wf-sharded-adaptive) and prints the
-// controller's final snapshot after a stress run. -bursty makes stress
-// workers alternate contention storms (back-to-back operations) with quiet
-// spells (stretched inter-operation work) every workload.BurstPhase local
-// operations — the phase pattern the adaptive controller must track without
-// ever leaving its bounds.
 //
 // -coalesce swaps the selected queue for its operation-coalescing variant
 // (wf-10 → wf-coalesce, wf-sharded → wf-sharded-coalesce, wf-scq →
@@ -63,8 +56,8 @@
 // to round-robin placement, never index a vanished lane or crash, with the
 // usual loss/duplication accounting on top. Stress mode only.
 //
-// Queues that declare no cross-handle ordering (wf-sharded-adaptive's
-// hotness dispatch trades per-producer FIFO for throughput) are still
+// Queues that declare no cross-handle ordering (wf-sharded-rr's round-robin
+// dispatch trades per-producer FIFO for balance) are still
 // stress-checkable: order validation is skipped and the run verifies loss
 // and duplication only.
 package main
@@ -91,22 +84,14 @@ func main() {
 	mode := flag.String("mode", "stress", "stress or lincheck")
 	batch := flag.Int("batch", 1, "values per batched operation (1 = single-op mode)")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
-	adaptive := flag.Bool("adaptive", false, "use the queue's contention-adaptive variant and report its controller snapshot")
 	coalesce := flag.Bool("coalesce", false, "stress: use the queue's operation-coalescing variant with flush-on-idle producers and exact loss/duplication accounting")
-	bursty := flag.Bool("bursty", false, "stress: alternate contention storms with quiet spells")
 	churn := flag.Bool("churn", false, "stress: workers periodically Release and re-Register their handles (needs a ChurnSafe queue)")
 	topo := flag.Bool("topo", false, "stress: wf-sharded-topo over a fake topology whose CPU source shrinks, grows and fails mid-run")
 	flag.Parse()
 
 	name := *queue
-	if *adaptive && *coalesce {
-		fatalf("-adaptive and -coalesce select conflicting variants; pick one")
-	}
-	if *topo && (*adaptive || *coalesce) {
-		fatalf("-topo selects the topology-aware variant; it conflicts with -adaptive and -coalesce")
-	}
-	if *adaptive {
-		name = adaptiveVariant(name)
+	if *topo && *coalesce {
+		fatalf("-topo selects the topology-aware variant; it conflicts with -coalesce")
 	}
 	if *coalesce {
 		if *mode != "stress" {
@@ -149,7 +134,7 @@ func main() {
 				checkOrder = false
 			}
 		}
-		runStress(name, newQ, *threads, *duration, *batch, *seed, checkOrder, *bursty, *churn, *coalesce)
+		runStress(name, newQ, *threads, *duration, *batch, checkOrder, *churn, *coalesce)
 		if fault != nil {
 			fault.report()
 		}
@@ -170,22 +155,9 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// adaptiveVariant maps a fixed queue name to its contention-adaptive
-// registry twin. Already-adaptive names map to themselves; names with no
-// adaptive twin are an error rather than a silent fallthrough.
-func adaptiveVariant(name string) string {
-	switch name {
-	case "wf-10", "wf-adaptive":
-		return "wf-adaptive"
-	case "wf-sharded", "wf-sharded-adaptive":
-		return "wf-sharded-adaptive"
-	}
-	fatalf("%s has no contention-adaptive variant (have: wf-10, wf-sharded)", name)
-	return ""
-}
-
 // coalesceVariant maps a fixed queue name to its operation-coalescing
-// registry twin. Already-coalesced names map to themselves.
+// registry twin. Already-coalesced names map to themselves; names with no
+// coalescing twin are an error rather than a silent fallthrough.
 func coalesceVariant(name string) string {
 	switch name {
 	case "wf-10", "wf-coalesce":
@@ -221,7 +193,7 @@ func reRegister(q qiface.Queue, ops qiface.Ops) qiface.Ops {
 	return qiface.WithFlushFallback(qiface.WithBatchFallback(next))
 }
 
-func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d time.Duration, batch int, seed uint64, checkOrder, bursty, churn, coalesce bool) {
+func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d time.Duration, batch int, checkOrder, churn, coalesce bool) {
 	if threads < 2 {
 		threads = 2
 	}
@@ -234,18 +206,15 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 		fatalf("%v", err)
 	}
 
-	burstNote := ""
-	if bursty {
-		burstNote = ", bursty"
-	}
+	note := ""
 	if churn {
-		burstNote += ", churn"
+		note += ", churn"
 	}
 	if coalesce {
-		burstNote += ", coalesce (exact accounting)"
+		note += ", coalesce (exact accounting)"
 	}
 	fmt.Printf("stress: %s, %d producers, %d consumers, batch=%d%s, %v\n",
-		name, producers, consumers, batch, burstNote, d)
+		name, producers, consumers, batch, note, d)
 
 	var stopProducing atomic.Bool
 	var producedTotal, consumedTotal atomic.Int64
@@ -266,7 +235,6 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 		go func(p int, ops qiface.Ops) {
 			defer wg.Done()
 			ops = qiface.WithFlushFallback(qiface.WithBatchFallback(ops))
-			rng := workload.NewRNG(seed + uint64(p)*0x9E3779B97F4A7C15 + 1)
 			var seq int64
 			vs := make([]uint64, batch)
 			for !stopProducing.Load() {
@@ -281,11 +249,6 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 						}
 						runtime.Gosched()
 					}
-				}
-				if bursty && (seq/workload.BurstPhase)%2 == 1 {
-					// Quiet spell: stretched inter-op work; storms run
-					// back to back.
-					workload.Work(&rng, 200, 400)
 				}
 				if batch == 1 {
 					seq++
@@ -330,12 +293,8 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 		go func(c int, st *consumerState, ops qiface.Ops) {
 			defer cwg.Done()
 			ops = qiface.WithBatchFallback(ops)
-			rng := workload.NewRNG(seed + uint64(producers+c)*0x9E3779B97F4A7C15 + 1)
 			dst := make([]uint64, batch)
 			for {
-				if bursty && (st.count/workload.BurstPhase)%2 == 1 {
-					workload.Work(&rng, 200, 400)
-				}
 				var n int
 				if batch == 1 {
 					if v, ok := ops.Dequeue(); ok {
@@ -428,12 +387,6 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 		}
 		fmt.Printf("coalesce: exact recovery, consumers %d + drain helper %d == produced %d\n",
 			totalConsumed, helperDrained, totalProduced)
-	}
-	if ap, ok := q.(qiface.AdaptiveProvider); ok {
-		if s := ap.Adaptive(); s.Enabled {
-			fmt.Printf("adaptive: steps=%d raises=%d lowers=%d cas-fails=%d backoff-iters=%d spin-fallbacks=%d hot-diverts=%d\n",
-				s.Steps, s.Raises, s.Lowers, s.FastCASFails, s.BackoffIters, s.SpinFallbacks, s.HotDiverts)
-		}
 	}
 	fmt.Println("OK")
 }

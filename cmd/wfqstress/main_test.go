@@ -88,29 +88,14 @@ func TestLincheckModeBatched(t *testing.T) {
 	}
 }
 
-// -adaptive swaps in the contention-adaptive variant, the bursty phases
-// drive the controller, and the run must stay loss/dup-free with the
-// controller snapshot reported.
-func TestStressAdaptiveBursty(t *testing.T) {
-	out, err := runCLI(t, "-queue", "wf-10", "-threads", "4", "-duration", "300ms", "-adaptive", "-bursty")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"wf-adaptive", "bursty", "adaptive: steps=", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("adaptive stress output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// wf-sharded-adaptive declares no cross-handle ordering: stress must accept
-// it, skip FIFO checks, and still verify loss/duplication.
+// wf-sharded-rr declares no cross-handle ordering: stress must accept it,
+// skip FIFO checks, and still verify loss/duplication.
 func TestStressOrderNoneAllowed(t *testing.T) {
-	out, err := runCLI(t, "-queue", "wf-sharded", "-threads", "4", "-duration", "300ms", "-adaptive")
+	out, err := runCLI(t, "-queue", "wf-sharded-rr", "-threads", "4", "-duration", "300ms")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range []string{"wf-sharded-adaptive", "skipping FIFO checks", "order unchecked", "OK"} {
+	for _, want := range []string{"wf-sharded-rr", "skipping FIFO checks", "order unchecked", "OK"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("OrderNone stress output missing %q:\n%s", want, out)
 		}
@@ -181,9 +166,6 @@ func TestRejectsCoalesceMisuse(t *testing.T) {
 	if out, err := runCLI(t, "-mode", "lincheck", "-coalesce", "-duration", "100ms"); err == nil {
 		t.Fatalf("-coalesce outside stress mode should fail:\n%s", out)
 	}
-	if out, err := runCLI(t, "-adaptive", "-coalesce", "-duration", "100ms"); err == nil {
-		t.Fatalf("-adaptive with -coalesce should fail:\n%s", out)
-	}
 }
 
 // -topo drives wf-sharded-topo over the shrinking fake topology: with
@@ -221,14 +203,8 @@ func TestRejectsTopoMisuse(t *testing.T) {
 	if out, err := runCLI(t, "-mode", "lincheck", "-topo", "-duration", "100ms"); err == nil {
 		t.Fatalf("-topo outside stress mode should fail:\n%s", out)
 	}
-	if out, err := runCLI(t, "-topo", "-adaptive", "-duration", "100ms"); err == nil {
-		t.Fatalf("-topo with -adaptive should fail:\n%s", out)
-	}
-}
-
-func TestRejectsAdaptiveWithoutVariant(t *testing.T) {
-	if out, err := runCLI(t, "-queue", "msqueue", "-adaptive", "-duration", "100ms"); err == nil {
-		t.Fatalf("msqueue has no adaptive variant, should fail:\n%s", out)
+	if out, err := runCLI(t, "-topo", "-coalesce", "-duration", "100ms"); err == nil {
+		t.Fatalf("-topo with -coalesce should fail:\n%s", out)
 	}
 }
 

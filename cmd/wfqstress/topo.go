@@ -77,7 +77,7 @@ func (f *topoFault) report() {
 }
 
 // topoVariant maps a fixed queue name to the topology-aware sharded queue,
-// mirroring adaptiveVariant: -topo only exists for the sharded family.
+// mirroring coalesceVariant: -topo only exists for the sharded family.
 func topoVariant(name string) string {
 	switch name {
 	case "wf-10", "wf-sharded", "wf-sharded-topo":

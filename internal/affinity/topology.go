@@ -14,10 +14,9 @@ import (
 // This file is the topology layer: an immutable snapshot of how the host's
 // logical CPUs group into SMT cores, last-level-cache (LLC) domains, physical
 // packages and NUMA nodes, parsed once from /sys/devices/system/cpu. The
-// sharded queue consumes it for three placement decisions (DESIGN.md §9):
-// which lane a handle calls home (same-LLC placement), in which order a
-// dequeuer sweeps foreign lanes (cache distance, nearest first), and where an
-// adaptive divert may spill (same-domain before cross-domain). Everything is
+// sharded queue consumes it for two placement decisions (DESIGN.md §9):
+// which lane a handle calls home (same-LLC placement) and in which order a
+// dequeuer sweeps foreign lanes (cache distance, nearest first). Everything is
 // resolved at construction; the hot paths only index precomputed tables.
 //
 // Three sources produce a Topology:

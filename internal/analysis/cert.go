@@ -36,12 +36,11 @@ import (
 // there. Function-literal bodies are not charged to the enclosing call.
 //
 // Symbols come from Config.Symbols: constant-backed ones are resolved from
-// package constants through go/types (so retuning AdaptPatienceMax reprices
+// package constants through go/types (so retuning PatienceCap reprices
 // every dependent bound), parameter symbols carry documented reference
-// values and surface per-operation as "assumes". Substituting the adaptive
-// window maxima (AdaptPatienceMax, AdaptSpinMax) is exactly the step
-// DESIGN.md §3.3 takes to argue the adaptive controller preserves the §3
-// bounds.
+// values and surface per-operation as "assumes". The tuning knobs resolve
+// to their option caps (PatienceCap, MaxSpinCap), so the bounds hold for
+// every configuration New accepts.
 //
 // The composed certificate is serialized to artifacts/wfqcert.json and
 // diffed against the committed baseline by CompareBaseline: a vanished
@@ -55,7 +54,7 @@ const CertSchema = "wfqcert/v1"
 type CertSymbol struct {
 	Name   string `json:"name"`
 	Value  uint64 `json:"value"`
-	Source string `json:"source"` // "core.AdaptPatienceMax" or "model parameter"
+	Source string `json:"source"` // "core.PatienceCap" or "model parameter"
 	Param  bool   `json:"param,omitempty"`
 	Doc    string `json:"doc"`
 }

@@ -133,13 +133,9 @@ func RepoConfig(root string) Config {
 				"cleanup", "update", "verify", "freeSegments",
 				"recycleSegment", "push", "pop", "popNode", "pushNode",
 				"sid",
-				// Adaptive hot path: the backoff/controller machinery runs
-				// inside the operations above and must not allocate either.
-				"pause", "backoff", "adaptOpStart", "adaptTick", "adaptStep",
-				"effPatience", "effSpin", "ContentionEvents",
-				// The parking ladder's clamped spin runs inside empty
-				// dequeues and must not allocate.
-				"Pause",
+				// helpEnq's poll pause, and the parking ladder's clamped spin
+				// that runs inside empty sharded dequeues.
+				"pause", "Pause",
 				// Handle lifecycle: acquisition and release work over the
 				// preallocated handle array through a tagged free list and
 				// must not allocate either. (core Register is an alias for
@@ -147,14 +143,13 @@ func RepoConfig(root string) Config {
 				"AcquireHandle", "Release", "pushHandle", "Registered",
 			},
 			// The sharded layer's operations are thin dispatch over core
-			// calls and must stay allocation-free themselves, including the
-			// adaptive dispatch helpers (coolOrder sorts in handle scratch).
+			// calls and must stay allocation-free themselves.
 			PkgSharded: {
 				"Enqueue", "Dequeue", "EnqueueBatch", "DequeueBatch",
-				"pickLane", "noteLane", "stealFrom", "sweepLane", "coolOrder",
+				"pickLane", "stealFrom", "sweepLane",
 				// Topology dispatch and the parking ladder: precomputed-table
 				// lookups and EWMA arithmetic on the dequeue EMPTY path.
-				"altLaneTopo", "homeLaneFor", "dequeueEmpty", "batchPark",
+				"homeLaneFor", "dequeueEmpty", "batchPark",
 				"parkNote", "parkEmpty",
 				// Shell-pool lifecycle. RegisterOnLane is deliberately absent:
 				// its error paths wrap with fmt.Errorf (cold, sanctioned);
@@ -202,19 +197,17 @@ func RepoConfig(root string) Config {
 }
 
 // RepoSymbols is the symbol table of this repository's cost grammar: the
-// adaptive-controller window maxima (the substitution DESIGN.md §3.3 makes),
-// the structural constants of the sharded and SCQ tiers, and the model
-// parameters the paper's bounds are stated over.
+// caps on the paper's tuning knobs, the structural constants of the sharded
+// and SCQ tiers, and the model parameters the paper's bounds are stated
+// over.
 func RepoSymbols() []SymbolDef {
 	return []SymbolDef{
 		// Constant-backed: resolved from package constants at type-check
 		// time, so a knob change reprices every dependent bound.
-		{Name: "PATIENCE", Pkg: PkgCore, Const: "AdaptPatienceMax",
-			Doc: "fast-path attempt budget; adaptive window maximum (DESIGN.md §3.3)"},
-		{Name: "MAX_SPIN", Pkg: PkgCore, Const: "AdaptSpinMax",
-			Doc: "enqueue-helper spin budget; adaptive window maximum"},
-		{Name: "BACKOFF", Pkg: PkgCore, Const: "AdaptBackoffMax",
-			Doc: "CAS-backoff pause cap (constant per DESIGN.md §3.3)"},
+		{Name: "PATIENCE", Pkg: PkgCore, Const: "PatienceCap",
+			Doc: "fast-path attempt budget; WithPatience clamps to this cap"},
+		{Name: "MAX_SPIN", Pkg: PkgCore, Const: "MaxSpinCap",
+			Doc: "enqueue-helper spin budget; WithMaxSpin clamps to this cap"},
 		{Name: "SPIN_POLL", Pkg: PkgCore, Const: "spinPollStride",
 			Doc: "pause iterations between helpEnq polls of a cell"},
 		{Name: "WINDOW", Pkg: PkgCore, Const: "CoalesceMaxWindow",

@@ -14,10 +14,8 @@ import (
 // and integer literals, combined with + and * and parentheses. The cert
 // pass (cert.go) composes these bottom-up over the call graph into a
 // closed-form per-operation step bound, then evaluates it numerically by
-// substituting each symbol's resolved value — for adaptive knobs that is
-// the compile-time window maximum (AdaptPatienceMax, AdaptSpinMax), which
-// is exactly the substitution DESIGN.md §3.3 makes to argue the adaptive
-// controller preserves the §3 bounds.
+// substituting each symbol's resolved value — for the tuning knobs that is
+// the cap their option clamps to (PatienceCap, MaxSpinCap).
 //
 // Costs are kept in expanded sum-of-products form: a polynomial mapping a
 // canonical product key ("" for the constant term, "A" or "A*B" for

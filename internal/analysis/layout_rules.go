@@ -92,7 +92,7 @@ func RepoLayoutRules() []LayoutRule {
 			// operation, written by stealers).
 			Pkg: PkgSharded, Struct: "lane",
 			LeadingPad:       []string{"q"},
-			TrailingPadAfter: "hot",
+			TrailingPadAfter: "stolenFrom",
 			MinSize:          2 * CacheLineSize,
 		},
 		{

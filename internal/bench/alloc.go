@@ -362,40 +362,35 @@ type ChurnAllocsResult struct {
 	Cycles         int
 	AllocsPerCycle float64
 	BytesPerCycle  float64
+	// Stacks holds one symbolized stack per allocation site counted in
+	// AllocsPerCycle (queueAllocs).
+	Stacks []string
 }
 
-// churnAllocs measures cycle() under MemStats accounting after one warm-up
-// call (the first acquisition may fault in lazily initialized runtime
-// state, which is not the lifecycle's doing). Like testing.AllocsPerRun it
-// pins GOMAXPROCS to 1 for the measurement, and it additionally takes the
-// minimum over a few rounds: runtime background work (timers, GC metadata)
-// occasionally lands a stray allocation inside a window, which would read
-// as ~1e-5 allocs/cycle and trip an exact-zero gate, while a genuine
-// lifecycle allocation shows up in every round at ≥ 1 alloc/cycle.
+// AllocSites returns Stacks as one block of text, for a gate's failure
+// message.
+func (r ChurnAllocsResult) AllocSites() string { return strings.Join(r.Stacks, "\n") }
+
+// churnAllocs runs cycle() once as a warm-up (the first acquisition may
+// fault in lazily initialized runtime state, which is not the lifecycle's
+// doing), then counts the allocations cycles more calls make under a queue
+// frame (queueAllocs).
 func churnAllocs(cycles int, cycle func()) ChurnAllocsResult {
 	if cycles < 1 {
 		cycles = 1
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cycle()
-	res := ChurnAllocsResult{Cycles: cycles}
-	var m0, m1 runtime.MemStats
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
+	objs, bytes, stacks := queueAllocs(func() {
 		for i := 0; i < cycles; i++ {
 			cycle()
 		}
-		runtime.ReadMemStats(&m1)
-		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(cycles)
-		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(cycles)
-		if r == 0 || allocs < res.AllocsPerCycle {
-			res.AllocsPerCycle = allocs
-			res.BytesPerCycle = bytes
-		}
+	})
+	return ChurnAllocsResult{
+		Cycles:         cycles,
+		AllocsPerCycle: float64(objs) / float64(cycles),
+		BytesPerCycle:  float64(bytes) / float64(cycles),
+		Stacks:         stacks,
 	}
-	return res
 }
 
 // CoreChurnAllocs measures the core queue's AcquireHandle/Release pair: the

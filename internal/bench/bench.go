@@ -86,12 +86,6 @@ type Result struct {
 	EmptyDeqs     uint64            // dequeues that returned EMPTY (last trial)
 	QueueStats    map[string]uint64 // implementation counters, if exposed
 
-	// Adaptive is the queue's contention-adaptive controller snapshot after
-	// the last trial (nil when the implementation does not expose one or
-	// adaptivity is off): where the effective patience/spin knobs settled,
-	// how often the controller moved them, and the backoff/divert totals.
-	Adaptive *qiface.AdaptiveSnapshot
-
 	// Memory-path metrics from runtime.MemStats deltas across a trial's
 	// measured iterations (the workers are the only mutators while a trial
 	// runs). AllocsPerOp and BytesPerOp are the MINIMUM per-op average over
@@ -161,7 +155,6 @@ func Run(cfg Config) (Result, error) {
 		res.Dequeues = last.deqs
 		res.EmptyDeqs = last.empties
 		res.QueueStats = last.queueStats
-		res.Adaptive = last.adaptive
 		if last.opsDone > 0 {
 			allocsPerOp := float64(last.allocs) / float64(last.opsDone)
 			bytesPerOp := float64(last.bytes) / float64(last.opsDone)
@@ -194,7 +187,6 @@ func interval(xs []float64) stats.Interval {
 type trialTotals struct {
 	enqs, deqs, empties uint64
 	queueStats          map[string]uint64
-	adaptive            *qiface.AdaptiveSnapshot
 
 	// Heap accounting over the trial's measured iterations.
 	opsDone   uint64 // operations actually executed (Ops × iterations run)
@@ -358,11 +350,6 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 	if sp, ok := q.(qiface.StatsProvider); ok {
 		totals.queueStats = sp.Stats()
 	}
-	if ap, ok := q.(qiface.AdaptiveProvider); ok {
-		if snap := ap.Adaptive(); snap.Enabled {
-			totals.adaptive = &snap
-		}
-	}
 	return mops, wallMops, totals, nil
 }
 
@@ -397,26 +384,6 @@ func runWorkerIteration(cfg Config, plan workload.Plan, rng *workload.RNG, q qif
 				deqs++
 			}
 			workNS += int64(workload.Work(rng, cfg.WorkMinNS, cfg.WorkMaxNS))
-		}
-	case workload.Bursty:
-		// Alternating storms (no inter-op work, back-to-back pairs) and
-		// quiet spells (work stretched 4×). The phase is a function of the
-		// pair index, so every thread's storms coincide and collide.
-		pairs := plan.Ops / 2
-		for i := 0; i < pairs; i++ {
-			storm := (i/workload.BurstPhase)%2 == 0
-			ops.Enqueue(uint64(i) + 1)
-			enqs++
-			if !storm {
-				workNS += int64(workload.Work(rng, 4*cfg.WorkMinNS, 4*cfg.WorkMaxNS))
-			}
-			if _, ok := ops.Dequeue(); !ok {
-				empty++
-			}
-			deqs++
-			if !storm {
-				workNS += int64(workload.Work(rng, 4*cfg.WorkMinNS, 4*cfg.WorkMaxNS))
-			}
 		}
 	case workload.PairsBatched:
 		// Like Pairs, but each round moves a whole batch: one EnqueueBatch

@@ -60,7 +60,7 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 	// helper committed a slow-path enqueue there); the item slides to the
 	// next reserved cell.
 	m := 0
-	budget := q.effPatience(h)
+	budget := q.patience
 	//wfqlint:bounded(K, one fast-path CAS per cell of the k-cell reservation, k = len(vs) capped by the segment geometry)
 	for j := int64(0); j < k && m < len(vs); j++ {
 		c := q.findCell(h, &h.tail, i0+j)
@@ -106,11 +106,6 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 	}
 
 	atomic.StoreInt64(&h.hzdp, -1)
-	// One controller tick per batch: the window is denominated in calls,
-	// and a batch is one burst of coordination regardless of its size.
-	if q.adaptive {
-		q.adaptTick(h)
-	}
 }
 
 // DequeueBatch removes up to len(dst) values from the front of the queue,
@@ -192,9 +187,6 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 
 	atomic.StoreInt64(&h.hzdp, -1)
 	q.cleanup(h)
-	if q.adaptive {
-		q.adaptTick(h) // one tick per batch, as in EnqueueBatch
-	}
 
 	// Top up interference shortfalls with per-item dequeues (their own
 	// FAA, patience and slow path) until dst is full or EMPTY is observed,

@@ -66,25 +66,8 @@ func WithCoalescing(window int) Option {
 // CoalesceWindow returns the configured coalescing window (1 = disabled).
 func (q *Queue) CoalesceWindow() int { return q.coalesce }
 
-// effCoalesceWindow returns the flush threshold for one operation by h.
-// The configured window is the floor; under a fast-path CAS storm (the
-// adaptive controller's failure EWMA beyond its high-water mark) the
-// window doubles toward the compile-time max — each flush then amortizes
-// its FAA and its cache-line acquisition across twice the values, which is
-// exactly when that matters. Owner-only state throughout.
-func (q *Queue) effCoalesceWindow(h *Handle) int {
-	w := q.coalesce
-	if q.adaptive && h.adapt.ewmaFail > adaptFailHigh {
-		w *= 2
-		if w > CoalesceMaxWindow {
-			w = CoalesceMaxWindow
-		}
-	}
-	return w
-}
-
 // CoalescedEnqueue appends v through handle h's producer buffer. The value
-// enters the shared queue when the buffer reaches the adaptive window,
+// enters the shared queue when the buffer reaches the window,
 // when the op-count deadline expires, on an explicit Flush, or on Release
 // — whichever comes first. With window 1 it is exactly Enqueue. As with
 // Enqueue, v must not be nil (the paper's ⊥); the check happens here, at
@@ -100,7 +83,7 @@ func (q *Queue) CoalescedEnqueue(h *Handle, v unsafe.Pointer) {
 	h.cbuf[h.clen] = v
 	h.clen++
 	h.cops++
-	if int(h.clen) >= q.effCoalesceWindow(h) {
+	if int(h.clen) >= q.coalesce {
 		q.Flush(h)
 	} else if h.cops >= coalesceDeadline {
 		ctrInc(&h.stats.CoalesceDeadlineFlushes)
@@ -132,7 +115,7 @@ func (q *Queue) Flush(h *Handle) {
 
 // CoalescedDequeue removes one value through handle h's drain buffer. A
 // drain-buffer hit costs no shared-memory operation at all; a miss
-// harvests a contiguous run of up to effCoalesceWindow cells with one FAA
+// harvests a contiguous run of up to the window's cells with one FAA
 // (DequeueBatch) and serves the run from the buffer. With window 1 it is
 // exactly Dequeue.
 //
@@ -183,13 +166,13 @@ func (q *Queue) CoalescedDequeue(h *Handle) (unsafe.Pointer, bool) {
 
 // coalesceRefill harvests one run of cells into h's drain buffer and
 // returns the number of values obtained; 0 means EMPTY was witnessed. The
-// run length is the adaptive window clamped by the instantaneous queue
+// run length is the window clamped by the instantaneous queue
 // size: reserving dequeue indices past T poisons cells and shoves
 // concurrent enqueuers onto the slow path, so a near-empty queue is
 // drained with scalar dequeues instead of a speculative batch.
 func (q *Queue) coalesceRefill(h *Handle) int {
 	h.dhead, h.dlen = 0, 0
-	w := int64(q.effCoalesceWindow(h))
+	w := int64(q.coalesce)
 	if sz := q.Size(); sz < w {
 		w = sz
 	}

@@ -234,26 +234,6 @@ func TestCoalesceReleaseFlushes(t *testing.T) {
 	}
 }
 
-// TestCoalesceAdaptiveWindowGrowth: under a fast-path CAS failure storm the
-// effective window doubles toward the compile-time max, never past it.
-func TestCoalesceAdaptiveWindowGrowth(t *testing.T) {
-	q := New(2, WithCoalescing(16), WithAdaptive())
-	h := mustRegister(t, q)
-	if got := q.effCoalesceWindow(h); got != 16 {
-		t.Fatalf("calm effective window = %d, want 16", got)
-	}
-	h.adapt.ewmaFail = adaptFailHigh + 1
-	if got := q.effCoalesceWindow(h); got != 32 {
-		t.Fatalf("stormy effective window = %d, want 32", got)
-	}
-	q2 := New(2, WithCoalescing(CoalesceMaxWindow), WithAdaptive())
-	h2 := mustRegister(t, q2)
-	h2.adapt.ewmaFail = adaptFailHigh + 1
-	if got := q2.effCoalesceWindow(h2); got != CoalesceMaxWindow {
-		t.Fatalf("effective window exceeded compile-time max: %d", got)
-	}
-}
-
 // TestCoalescedMPMC: concurrent coalesced producers and consumers lose
 // nothing, duplicate nothing, and preserve per-producer order. Producers
 // flush on exit (the idle-producer contract).

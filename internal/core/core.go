@@ -48,6 +48,13 @@ const (
 	// enqueue latency — long enough for an in-flight enqueuer to complete
 	// its deposit, short enough to stay negligible against a slow path.
 	DefaultMaxSpin = 100
+
+	// PatienceCap and MaxSpinCap are the largest values WithPatience and
+	// WithMaxSpin accept; larger requests are clamped. They are what the
+	// wait-freedom certificate substitutes for PATIENCE and MAX_SPIN, so the
+	// certified step bounds hold for every configuration New can build.
+	PatienceCap = 16
+	MaxSpinCap  = 512
 )
 
 // yield parks the calling goroutine when a bounded spin expires; a variable
@@ -154,12 +161,6 @@ type Handle struct {
 
 	_ pad.CacheLinePad
 
-	// adapt is the contention-adaptive controller state (adaptive.go):
-	// effective patience/spin/backoff knobs plus the signal EWMAs. Owner-
-	// written like stats; it opens the owner-local section so its words sit
-	// a full line away from the helper-CASed request words above.
-	adapt adaptState
-
 	// next links handles in the static helping ring; idx is this handle's
 	// position in Queue.handles (both fixed after New).
 	next *Handle
@@ -238,13 +239,8 @@ type Counters struct {
 	DeqEmpty uint64 // dequeues that returned EMPTY
 	// FastCASFails counts fast-path attempts that failed to claim their
 	// cell: an enqueue's value CAS lost, or a dequeue's visit yielded a
-	// poisoned cell or a lost claim CAS. This is the contention signal the
-	// adaptive controller's failure EWMA is built on; it is counted in
-	// fixed mode too, so fixed-vs-adaptive runs are comparable.
+	// poisoned cell or a lost claim CAS.
 	FastCASFails uint64
-	// BackoffIters totals the pause iterations spent in bounded CAS backoff
-	// (adaptive mode only; the fixed configuration never backs off).
-	BackoffIters uint64
 	// SpinFallbacks counts helpEnq invocations that exhausted the MAX_SPIN
 	// budget waiting for an in-flight enqueuer and yielded the processor
 	// before poisoning the cell.
@@ -293,7 +289,6 @@ func (c *Counters) Add(o Counters) {
 	c.DeqSlow += o.DeqSlow
 	c.DeqEmpty += o.DeqEmpty
 	c.FastCASFails += o.FastCASFails
-	c.BackoffIters += o.BackoffIters
 	c.SpinFallbacks += o.SpinFallbacks
 	c.HelpEnq += o.HelpEnq
 	c.HelpDeq += o.HelpDeq
@@ -337,7 +332,6 @@ type Queue struct {
 	maxSpin    int
 	maxGarbage int64
 	recycle    bool
-	adaptive   bool
 	coalesce   int
 
 	handles []*Handle
@@ -369,21 +363,15 @@ type config struct {
 	maxSpin    int
 	maxGarbage int64
 	recycle    bool
-	adaptive   bool
 	coalesce   int
 }
 
 // WithPatience sets the number of extra fast-path attempts before an
 // operation falls back to the slow path. 10 is the paper's WF-10
-// configuration; 0 is WF-0 (a single fast-path attempt). Negative values
-// are clamped to 0.
+// configuration; 0 is WF-0 (a single fast-path attempt). Values are
+// clamped to [0, PatienceCap].
 func WithPatience(p int) Option {
-	return func(c *config) {
-		if p < 0 {
-			p = 0
-		}
-		c.patience = p
-	}
+	return func(c *config) { c.patience = max(0, min(p, PatienceCap)) }
 }
 
 // WithMaxSpin sets the paper's MAX_SPIN: the number of times a dequeuer
@@ -393,15 +381,10 @@ func WithPatience(p int) Option {
 // (runtime.Gosched) — on oversubscribed hosts the enqueuer it is waiting
 // for may need the timeslice to finish its deposit. The bound keeps the
 // operation wait-free. 0 disables both the spin and the yield (poison
-// immediately, the pre-tuning behavior); negative values are clamped to 0.
-// The default is DefaultMaxSpin.
+// immediately, the pre-tuning behavior). Values are clamped to
+// [0, MaxSpinCap]. The default is DefaultMaxSpin.
 func WithMaxSpin(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.maxSpin = n
-	}
+	return func(c *config) { c.maxSpin = max(0, min(n, MaxSpinCap)) }
 }
 
 // WithSegmentShift sets the log2 of the per-segment cell count (default 10,
@@ -473,7 +456,6 @@ func New(maxThreads int, opts ...Option) *Queue {
 		maxSpin:    cfg.maxSpin,
 		maxGarbage: cfg.maxGarbage,
 		recycle:    cfg.recycle,
-		adaptive:   cfg.adaptive,
 		coalesce:   cfg.coalesce,
 	}
 	if cfg.recycle {
@@ -498,7 +480,6 @@ func New(maxThreads int, opts ...Option) *Queue {
 		atomic.StorePointer(&h.head, unsafe.Pointer(s0))
 		h.hzdp = -1
 		h.spare = make([]*Handle, 0, maxThreads)
-		h.adaptInit(&cfg)
 	}
 	// Chain every handle onto the lock-free free list (handle i links to
 	// i+1, 1-based; the last links to 0) and publish index 1 as the top.
@@ -547,7 +528,6 @@ func (q *Queue) Stats() Counters {
 		total.DeqSlow += ctrLoad(&h.stats.DeqSlow)
 		total.DeqEmpty += ctrLoad(&h.stats.DeqEmpty)
 		total.FastCASFails += ctrLoad(&h.stats.FastCASFails)
-		total.BackoffIters += ctrLoad(&h.stats.BackoffIters)
 		total.SpinFallbacks += ctrLoad(&h.stats.SpinFallbacks)
 		total.HelpEnq += ctrLoad(&h.stats.HelpEnq)
 		total.HelpDeq += ctrLoad(&h.stats.HelpDeq)
@@ -566,15 +546,6 @@ func (q *Queue) Stats() Counters {
 		total.CoalesceRefills += ctrLoad(&h.stats.CoalesceRefills)
 	}
 	return total
-}
-
-// ContentionEvents returns the handle's cumulative count of contention
-// signals: fast-path CAS failures, slow-path entries and spin fallbacks.
-// The sharded layer reads this after each operation to maintain per-lane
-// hotness; the owner-read delta costs four counter loads.
-func (h *Handle) ContentionEvents() uint64 {
-	return ctrLoad(&h.stats.FastCASFails) + ctrLoad(&h.stats.EnqSlow) +
-		ctrLoad(&h.stats.DeqSlow) + ctrLoad(&h.stats.SpinFallbacks)
 }
 
 // ReclaimedSegments returns the total number of segments retired by the

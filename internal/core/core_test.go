@@ -417,6 +417,24 @@ func TestOptionClamping(t *testing.T) {
 	}
 }
 
+// TestKnobsClampToCertifiedCaps pins the caps the wait-freedom certificate
+// substitutes for PATIENCE and MAX_SPIN: no option value can build a queue
+// whose step bounds exceed the certified ones.
+func TestKnobsClampToCertifiedCaps(t *testing.T) {
+	if got := New(1, WithPatience(100)).Patience(); got != PatienceCap {
+		t.Errorf("WithPatience(100): Patience = %d, want PatienceCap = %d", got, PatienceCap)
+	}
+	if got := New(1, WithMaxSpin(1<<24)).MaxSpin(); got != MaxSpinCap {
+		t.Errorf("WithMaxSpin(1<<24): MaxSpin = %d, want MaxSpinCap = %d", got, MaxSpinCap)
+	}
+	if got := New(1, WithPatience(PatienceCap)).Patience(); got != PatienceCap {
+		t.Errorf("WithPatience(PatienceCap): Patience = %d", got)
+	}
+	if got := New(1, WithMaxSpin(MaxSpinCap)).MaxSpin(); got != MaxSpinCap {
+		t.Errorf("WithMaxSpin(MaxSpinCap): MaxSpin = %d", got)
+	}
+}
+
 func TestStringer(t *testing.T) {
 	q := New(3)
 	if s := q.String(); s == "" {

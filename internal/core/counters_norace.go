@@ -11,9 +11,5 @@ func ctrInc(p *uint64) { *p++ }
 // ctrAdd bumps an owner-local instrumentation counter by n.
 func ctrAdd(p *uint64, n uint64) { *p += n }
 
-// ctrStore overwrites an owner-local instrumentation word (used by the
-// adaptive controller's effective-knob fields, which move both ways).
-func ctrStore(p *uint64, v uint64) { *p = v }
-
 // ctrLoad reads an instrumentation counter.
 func ctrLoad(p *uint64) uint64 { return *p }

@@ -12,9 +12,5 @@ func ctrInc(p *uint64) { atomic.StoreUint64(p, *p+1) }
 // ctrAdd bumps an owner-local instrumentation counter by n.
 func ctrAdd(p *uint64, n uint64) { atomic.StoreUint64(p, *p+n) }
 
-// ctrStore overwrites an owner-local instrumentation word (used by the
-// adaptive controller's effective-knob fields, which move both ways).
-func ctrStore(p *uint64, v uint64) { atomic.StoreUint64(p, v) }
-
 // ctrLoad reads an instrumentation counter.
 func ctrLoad(p *uint64) uint64 { return atomic.LoadUint64(p) }

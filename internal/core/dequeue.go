@@ -13,23 +13,15 @@ func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 	// §3.6: publish the hazard pointer before the operation.
 	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.head))))
 
-	if q.adaptive {
-		q.adaptOpStart(h)
-	}
 	var cellID int64
 	v = topVal
-	//wfqlint:bounded(PATIENCE+1, fast-path patience loop: p starts at effPatience <= AdaptPatienceMax and decreases every iteration (§3.3))
-	for p := q.effPatience(h); p >= 0; p-- {
+	//wfqlint:bounded(PATIENCE+1, fast-path patience loop: p starts at q.patience <= PatienceCap and decreases every iteration (§3.3))
+	for p := q.patience; p >= 0; p-- {
 		v = q.deqFast(h, &cellID)
 		if v != topVal {
 			break
 		}
 		ctrInc(&h.stats.FastCASFails)
-		// Adaptive mode: bounded exponential backoff before the retry, as
-		// on the enqueue side (enqueue.go).
-		if q.adaptive && p > 0 {
-			q.backoff(h)
-		}
 	}
 	if v == topVal {
 		v = q.deqSlow(h, cellID)
@@ -53,9 +45,6 @@ func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 
 	atomic.StoreInt64(&h.hzdp, -1)
 	q.cleanup(h)
-	if q.adaptive {
-		q.adaptTick(h)
-	}
 
 	if v == emptyVal {
 		return nil, false

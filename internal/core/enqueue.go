@@ -17,25 +17,15 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	// fast path performs immediately after orders the publication.
 	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.tail))))
 
-	if q.adaptive {
-		q.adaptOpStart(h)
-	}
 	var cellID int64
 	ok := false
-	//wfqlint:bounded(PATIENCE+1, fast-path patience loop: p starts at effPatience <= AdaptPatienceMax and decreases every iteration (§3.3))
-	for p := q.effPatience(h); p >= 0; p-- {
+	//wfqlint:bounded(PATIENCE+1, fast-path patience loop: p starts at q.patience <= PatienceCap and decreases every iteration (§3.3))
+	for p := q.patience; p >= 0; p-- {
 		if q.enqFast(h, v, &cellID) {
 			ok = true
 			break
 		}
 		ctrInc(&h.stats.FastCASFails)
-		// Adaptive mode: take the lost CAS off the contended line for a
-		// bounded, exponentially growing pause before retrying (LCRQ's
-		// backoff remedy, constant-capped). Never before the slow path —
-		// helping needs no backoff.
-		if q.adaptive && p > 0 {
-			q.backoff(h)
-		}
 	}
 	if ok {
 		ctrInc(&h.stats.EnqFast)
@@ -45,9 +35,6 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	}
 
 	atomic.StoreInt64(&h.hzdp, -1)
-	if q.adaptive {
-		q.adaptTick(h)
-	}
 }
 
 // tryToClaimReq attempts to transition request state s from pending with
@@ -142,17 +129,11 @@ func (q *Queue) helpEnq(h *Handle, c *cell, i int64) unsafe.Pointer {
 	// The wait itself polls the cell only once per spinPollStride pause
 	// iterations: the enqueuer's deposit needs this very cache line, so a
 	// dequeuer re-loading it back-to-back keeps yanking the line into the
-	// shared state and delays the value it is waiting for. Under
-	// WithAdaptive the budget is the handle's effective spin, moved within
-	// [AdaptSpinMin, AdaptSpinMax] by the controller.
+	// shared state and delays the value it is waiting for.
 	if v == nil {
-		budget := q.effSpin(h)
-		if budget > 0 && atomic.LoadInt64(&q.T) > i {
-			if q.adaptive {
-				h.adapt.spinEntries++
-			}
-			spins := budget
-			//wfqlint:bounded(MAX_SPIN, spins starts from the constant-capped budget — MAX_SPIN, or at most AdaptSpinMax in adaptive mode — and decreases by min(spinPollStride, spins) ≥ 1 every iteration: at most ceil(budget/spinPollStride) polls)
+		if q.maxSpin > 0 && atomic.LoadInt64(&q.T) > i {
+			spins := q.maxSpin
+			//wfqlint:bounded(MAX_SPIN, spins starts from q.maxSpin <= MaxSpinCap and decreases by min(spinPollStride, spins) ≥ 1 every iteration: at most ceil(maxSpin/spinPollStride) polls)
 			for spins > 0 && v == nil {
 				k := spinPollStride
 				if k > spins {
@@ -260,4 +241,60 @@ func (q *Queue) helpEnq(h *Handle, c *cell, i int64) unsafe.Pointer {
 		q.enqCommit(c, v, i)
 	}
 	return atomic.LoadPointer(&c.val) // ⊤ or a value
+}
+
+// spinPollStride is how many pause iterations helpEnq waits between polls
+// of the contended cell word, so a spinning dequeuer stops hammering the
+// cache line the enqueuer needs for its deposit.
+const spinPollStride = 16
+
+// pauseSink keeps the pause loops' arithmetic observable so no future
+// compiler pass can argue the loops are dead.
+var pauseSink uint64
+
+// pause busy-waits for about n iterations of trivial arithmetic without
+// touching shared memory: helpEnq's poll interval. It never blocks, never
+// yields, and never loads the contended word, so a waiting dequeuer takes
+// its cache-line traffic off the interconnect between polls.
+func pause(n int) {
+	s := uint64(0)
+	i := 0
+	//wfqlint:bounded(SPIN_POLL, the only caller passes at most spinPollStride and i advances every iteration)
+	for i < n {
+		s += uint64(i)
+		i++
+	}
+	if s == ^uint64(0) {
+		pauseSink = s
+	}
+}
+
+// ParkSpinMax caps one exported Pause call, in pause-loop iterations. It is
+// the top spin rung of the sharded layer's empty-queue parking ladder
+// (DESIGN.md §9): a repeatedly-empty dequeuer doubles its pause from a few
+// dozen iterations up to this cap, then escalates to runtime.Gosched. As a
+// compile-time constant it prices the ladder into the wait-freedom
+// certificate — one parked call costs at most ParkSpinMax + O(1) steps.
+const ParkSpinMax = 4096
+
+// Pause busy-waits for about n iterations of trivial arithmetic without
+// touching shared memory, clamping n to ParkSpinMax — the exported spin
+// primitive for bounded wait ladders layered above the core (the sharded
+// queue's consumer parking). Like pause it never blocks, never yields and
+// never loads shared state, so a parked consumer takes its cache-line
+// traffic off the interconnect entirely.
+func Pause(n int) {
+	if n > ParkSpinMax {
+		n = ParkSpinMax
+	}
+	s := uint64(0)
+	i := 0
+	//wfqlint:bounded(PARK, n is clamped to ParkSpinMax on entry and i advances every iteration)
+	for i < n {
+		s += uint64(i)
+		i++
+	}
+	if s == ^uint64(0) {
+		pauseSink = s
+	}
 }

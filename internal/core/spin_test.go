@@ -70,7 +70,7 @@ func TestMaxSpinFallbackYields(t *testing.T) {
 // empty queue (no enqueuer in flight) must not spin or yield — EMPTY
 // detection stays on the immediate-poison path.
 func TestMaxSpinSkippedWhenEmpty(t *testing.T) {
-	q := New(1, WithMaxSpin(1<<20))
+	q := New(1, WithMaxSpin(MaxSpinCap))
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -107,33 +107,31 @@ func TestMaxSpinZeroPoisonsImmediately(t *testing.T) {
 	}
 }
 
-// TestMaxSpinFindsLateValue verifies the happy case the spin exists for:
-// a value that lands while the dequeuer is spinning is returned, not
-// poisoned over.
+// TestMaxSpinFindsLateValue verifies the happy case the wait exists for: a
+// value that lands before the dequeuer poisons the cell is returned, not
+// poisoned over. The deposit runs from the yield hook — after the whole
+// spin budget has expired, before the re-read that precedes the poison CAS
+// — so the outcome does not depend on scheduling.
 func TestMaxSpinFindsLateValue(t *testing.T) {
-	q := New(2, WithMaxSpin(1<<24))
-	h, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	he, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Claim cell 0 as a stranded enqueuer would, then deposit from another
-	// goroutine after the dequeuer has started spinning.
+	q := New(2, WithMaxSpin(MaxSpinCap))
+	h := mustRegister(t, q)
+	he := mustRegister(t, q)
+	// Claim cell 0 as a stranded enqueuer would; the yield fallback then
+	// completes the simulated enqueue by depositing into cell 0.
 	atomic.AddInt64(&q.T, 1)
 	v := uint64(7)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Deposit directly into cell 0, completing the simulated enqueue.
+	old := yield
+	yield = func() {
 		c := q.findCell(he, &he.tail, 0)
 		atomic.StorePointer(&c.val, unsafe.Pointer(&v))
-	}()
+	}
+	t.Cleanup(func() { yield = old })
+
 	got, ok := q.Dequeue(h)
-	<-done
 	if !ok || *(*uint64)(got) != 7 {
 		t.Fatalf("Dequeue = (%v, %v), want 7", got, ok)
+	}
+	if got := q.Stats().SpinFallbacks; got != 1 {
+		t.Fatalf("SpinFallbacks = %d, want 1", got)
 	}
 }

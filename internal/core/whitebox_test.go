@@ -6,6 +6,7 @@ package core
 // protocol's corner cases.
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -415,5 +416,40 @@ func TestLiveSegmentWindowBounded(t *testing.T) {
 	}
 	if q.ReclaimedSegments() < 250 {
 		t.Fatalf("reclaimed only %d of ~300 segments", q.ReclaimedSegments())
+	}
+}
+
+// TestCountersCensus asserts, by reflection, that Queue.Stats and
+// Counters.Add carry every Counters field: a counter added to the struct but
+// forgotten in either aggregation fails here.
+func TestCountersCensus(t *testing.T) {
+	q := New(2)
+	h := q.handles[0]
+	rv := reflect.ValueOf(&h.stats).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		rv.Field(i).SetUint(uint64(100 + i))
+	}
+	st := q.Stats()
+	sv := reflect.ValueOf(st)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Uint(), uint64(100+i); got != want {
+			t.Errorf("Stats dropped Counters.%s: got %d, want %d",
+				sv.Type().Field(i).Name, got, want)
+		}
+	}
+
+	var a, b Counters
+	av := reflect.ValueOf(&a).Elem()
+	bv := reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(2 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(3*(i+1)); got != want {
+			t.Errorf("Add dropped Counters.%s: got %d, want %d",
+				av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -162,53 +162,6 @@ type StatsProvider interface {
 	Stats() map[string]uint64
 }
 
-// AdaptiveSnapshot is a point-in-time view of a queue's contention-adaptive
-// controller state, aggregated across all handles (and lanes, for sharded
-// queues). Histograms are indexed by knob value (patience) or bucket (spin:
-// bucket b covers effective spin SpinMin<<b), with one sample per registered
-// handle, so a snapshot doubles as a queue-wide witness that every knob sits
-// inside its compile-time [min,max] window.
-type AdaptiveSnapshot struct {
-	// Enabled reports whether the queue runs the adaptive controller at
-	// all; when false every other field is zero.
-	Enabled bool `json:"enabled"`
-
-	// Compile-time knob windows.
-	PatienceMin uint64 `json:"patience_min"`
-	PatienceMax uint64 `json:"patience_max"`
-	SpinMin     uint64 `json:"spin_min"`
-	SpinMax     uint64 `json:"spin_max"`
-	BackoffMin  uint64 `json:"backoff_min"`
-	BackoffMax  uint64 `json:"backoff_max"`
-
-	// PatienceHist[p] counts handles whose effective patience is p.
-	PatienceHist []uint64 `json:"patience_hist"`
-	// SpinHist[b] counts handles whose effective spin bound falls in
-	// bucket b, i.e. equals SpinMin<<b.
-	SpinHist []uint64 `json:"spin_hist"`
-
-	// Controller activity totals.
-	Steps  uint64 `json:"steps"`
-	Raises uint64 `json:"raises"`
-	Lowers uint64 `json:"lowers"`
-
-	// Contention-signal totals the controller consumed.
-	FastCASFails  uint64 `json:"fast_cas_fails"`
-	BackoffIters  uint64 `json:"backoff_iters"`
-	SpinFallbacks uint64 `json:"spin_fallbacks"`
-	// HotDiverts counts enqueues a sharded queue routed off a hot home
-	// lane (always 0 for single-lane implementations).
-	HotDiverts uint64 `json:"hot_diverts"`
-}
-
-// AdaptiveProvider is implemented by queues that expose their
-// contention-adaptive controller state (used by wfqbench's adaptive report).
-type AdaptiveProvider interface {
-	// Adaptive returns the current controller snapshot; Enabled is false
-	// when the instance was built without adaptivity.
-	Adaptive() AdaptiveSnapshot
-}
-
 // CoalescingProvider is implemented by queues whose registrations buffer
 // operations locally and flush them in single-FAA windows. Harnesses use
 // it to discover the window (1 = coalescing disabled, a pure passthrough)

@@ -28,19 +28,11 @@
 //	wf-sharded-rr  sharded queue with round-robin dispatch: balanced lanes,
 //	               no per-producer ordering (qiface.OrderNone; only
 //	               no-loss/no-duplication harnesses apply)
-//	wf-adaptive    wf-10 with the contention-adaptive controller: effective
-//	               patience/spin self-tune inside compile-time windows and
-//	               failed fast-path CASes take a bounded backoff
-//	               (qiface.OrderFIFO — adaptivity never reorders one queue)
-//	wf-sharded-adaptive  sharded queue with adaptivity at both layers:
-//	               adaptive lanes plus hotness-aware dispatch and
-//	               coolness-ordered stealing. Diverting off a hot home lane
-//	               gives up per-producer ordering (qiface.OrderNone)
 //	wf-sharded-topo  sharded queue with topology-aware placement: lanes
 //	               anchored over the host's LLC domains (affinity.System),
 //	               registration homed inside the caller's domain, the steal
 //	               sweep in cache-distance order, and the empty-queue parking
-//	               ladder on. No diverting, so per-producer ordering holds
+//	               ladder on. Per-producer ordering holds
 //	               (qiface.OrderPerProducer)
 //	wf-scq         bounded SCQ ring queue (internal/scq): indirect ring over
 //	               cycle-tagged entries, FAA ticket hot path, TryEnqueue /
@@ -59,11 +51,6 @@
 //	               flush lands a whole window in one lane (per-producer order)
 //	wf-scq-coalesce      bounded SCQ ring behind an adapter-level coalescing
 //	               window built on the ring's batch reservations
-//	wf-10-mutexreg wf-10 behind the pre-refactor mutex-guarded
-//	               registration (sync.Mutex + free slice). Queue operations
-//	               are identical to wf-10; only the handle lifecycle
-//	               differs. The churn baseline wfqbench's handles report
-//	               gates the lock-free lifecycle against.
 //
 // Pointer-based queues are adapted to the uint64 currency of qiface through
 // per-thread value arenas: an enqueue writes the value into the next arena
@@ -219,20 +206,6 @@ func init() {
 		},
 	})
 	qiface.Register(qiface.Factory{
-		Name: "wf-adaptive", Doc: "wf-10 with self-tuning patience/spin and bounded CAS backoff",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderFIFO,
-		New: func(n int) (qiface.Queue, error) {
-			return newWF("wf-adaptive", n, 10, false, false, core.WithAdaptive())
-		},
-	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-sharded-adaptive", Doc: "sharded queue, adaptive lanes + hotness-aware dispatch (unordered)",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderNone,
-		New: func(n int) (qiface.Queue, error) {
-			return newSharded("wf-sharded-adaptive", n, false, sharded.WithAdaptive())
-		},
-	})
-	qiface.Register(qiface.Factory{
 		Name: "wf-sharded-topo", Doc: "sharded queue, LLC-domain lane placement + distance-ordered stealing + parking",
 		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer,
 		New: func(n int) (qiface.Queue, error) {
@@ -256,29 +229,6 @@ func init() {
 			return newSCQSharded("wf-sharded-scq", n, false)
 		},
 	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-10-mutexreg", Doc: "wf-10 behind mutex-guarded registration (handle-churn baseline)",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderFIFO,
-		New: func(n int) (qiface.Queue, error) { return newMutexReg("wf-10-mutexreg", n, false) },
-	})
-}
-
-// adaptiveSnapshot converts a core adaptive snapshot to the qiface view.
-func adaptiveSnapshot(s core.AdaptiveStats) qiface.AdaptiveSnapshot {
-	out := qiface.AdaptiveSnapshot{
-		Enabled:     s.Enabled,
-		PatienceMin: uint64(s.PatienceMin), PatienceMax: uint64(s.PatienceMax),
-		SpinMin: uint64(s.SpinMin), SpinMax: uint64(s.SpinMax),
-		BackoffMin: uint64(s.BackoffMin), BackoffMax: uint64(s.BackoffMax),
-		PatienceHist: make([]uint64, len(s.PatienceHist)),
-		SpinHist:     make([]uint64, len(s.SpinHist)),
-		Steps:        s.Steps, Raises: s.Raises, Lowers: s.Lowers,
-		FastCASFails: s.FastCASFails, BackoffIters: s.BackoffIters,
-		SpinFallbacks: s.SpinFallbacks,
-	}
-	copy(out.PatienceHist, s.PatienceHist[:])
-	copy(out.SpinHist, s.SpinHist[:])
-	return out
 }
 
 // --- adapters -----------------------------------------------------------
@@ -320,9 +270,7 @@ func (a *wfAdapter) Register() (qiface.Ops, error) {
 }
 
 // buildWFOps builds the qiface closures driving one core handle, without a
-// Release (the caller wires the lifecycle: the lock-free wfAdapter hands the
-// handle's own Release through, the wf-10-mutexreg baseline substitutes its
-// mutex-guarded recycler).
+// Release (the caller hands the handle's own Release through).
 func buildWFOps(q *core.Queue, h *core.Handle, boxed bool) qiface.Ops {
 	scr := &batchScratch{}
 	deqBatch := func(dst []uint64) int {
@@ -402,18 +350,12 @@ func coreStatsMap(s core.Counters) map[string]uint64 {
 		"deq_batch_calls": s.DeqBatchCalls,
 		"deq_batch_faas":  s.DeqBatchFAAs,
 		"fast_cas_fails":  s.FastCASFails,
-		"backoff_iters":   s.BackoffIters,
 	}
 }
 
 // Stats implements qiface.StatsProvider for the paper's Table 2.
 func (a *wfAdapter) Stats() map[string]uint64 {
 	return coreStatsMap(a.q.Stats())
-}
-
-// Adaptive implements qiface.AdaptiveProvider.
-func (a *wfAdapter) Adaptive() qiface.AdaptiveSnapshot {
-	return adaptiveSnapshot(a.q.AdaptiveStats())
 }
 
 // shardedAdapter drives the multi-lane sharded queue through the same
@@ -508,19 +450,9 @@ func (a *shardedAdapter) Stats() map[string]uint64 {
 	m["sweeps"] = st.Sharded.Sweeps
 	m["empty_dequeues"] = st.Sharded.EmptyDequeues
 	m["rr_dispatches"] = st.Sharded.RRDispatches
-	m["hot_diverts"] = st.Sharded.HotDiverts
-	m["domain_spills"] = st.Sharded.DomainSpills
 	m["parks"] = st.Sharded.Parks
 	m["park_yields"] = st.Sharded.ParkYields
 	return m
-}
-
-// Adaptive implements qiface.AdaptiveProvider, merging all lanes and adding
-// the sharded layer's own divert signal.
-func (a *shardedAdapter) Adaptive() qiface.AdaptiveSnapshot {
-	snap := adaptiveSnapshot(a.q.AdaptiveStats())
-	snap.HotDiverts = a.q.Stats().Sharded.HotDiverts
-	return snap
 }
 
 // scqDefaultCapacity is the value-slot count of the registered wf-scq
@@ -967,10 +899,6 @@ func NewChecked(name string, n int) (qiface.Queue, error) {
 		return newSharded(name, n, true, sharded.WithLanes(8))
 	case "wf-sharded-rr":
 		return newSharded(name, n, true, sharded.WithDispatch(sharded.DispatchRoundRobin))
-	case "wf-adaptive":
-		return newWF(name, n, 10, false, true, core.WithAdaptive())
-	case "wf-sharded-adaptive":
-		return newSharded(name, n, true, sharded.WithAdaptive())
 	case "wf-sharded-topo":
 		return newSharded(name, n, true,
 			sharded.WithTopology(affinity.System()), sharded.WithParking())
@@ -990,8 +918,6 @@ func NewChecked(name string, n int) (qiface.Queue, error) {
 		return newShardedCoalesce(name, n, coalesceDefaultWindow, true)
 	case "wf-scq-coalesce":
 		return newSCQCoalesce(name, n, scqDefaultCapacity, coalesceDefaultWindow, true)
-	case "wf-10-mutexreg":
-		return newMutexReg(name, n, true)
 	case "of":
 		return newOF(name, n, true)
 	case "msqueue":

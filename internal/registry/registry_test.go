@@ -224,7 +224,6 @@ func TestWaitFreeFlags(t *testing.T) {
 	waitFree := map[string]bool{
 		"wf-10": true, "wf-0": true, "wf-10-recycle": true, "kpqueue": true, "simqueue": true,
 		"wf-sharded": true, "wf-sharded-1": true, "wf-sharded-8": true, "wf-sharded-rr": true,
-		"wf-adaptive": true, "wf-sharded-adaptive": true, "wf-10-mutexreg": true,
 		// Topology placement only reorders precomputed tables, and the
 		// parking ladder is a bounded spin plus at most one Gosched per
 		// EMPTY, so the sharded step bound survives.
@@ -263,13 +262,6 @@ func TestOrderingDeclarations(t *testing.T) {
 		"wf-sharded-1":  qiface.OrderFIFO,
 		"wf-sharded-8":  qiface.OrderPerProducer,
 		"wf-sharded-rr": qiface.OrderNone,
-		// Adaptivity never reorders a single queue; hotness-diverted sharded
-		// dispatch gives up per-producer order.
-		"wf-adaptive":         qiface.OrderFIFO,
-		"wf-sharded-adaptive": qiface.OrderNone,
-		// The mutex-registration baseline only changes the handle lifecycle,
-		// never the queue order.
-		"wf-10-mutexreg": qiface.OrderFIFO,
 		// The single SCQ ring is one linearizable FIFO; SCQ lanes inherit the
 		// sharded affinity-dispatch relaxation.
 		"wf-scq":         qiface.OrderFIFO,
@@ -308,59 +300,6 @@ func TestStatsProvider(t *testing.T) {
 	st := sp.Stats()
 	if st["enq_fast"]+st["enq_slow"] != 100 {
 		t.Errorf("stats enqueues = %d+%d, want 100", st["enq_fast"], st["enq_slow"])
-	}
-}
-
-// TestAdaptiveProvider drives the adaptive registrations through qiface and
-// checks the snapshot surface: Enabled reflects the configuration, histogram
-// mass equals the handle population, and the non-adaptive wf queues report a
-// disabled (but well-formed) snapshot.
-func TestAdaptiveProvider(t *testing.T) {
-	for _, name := range []string{"wf-adaptive", "wf-sharded-adaptive"} {
-		t.Run(name, func(t *testing.T) {
-			f := MustLookup(name)
-			q, err := f.New(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ap, ok := q.(qiface.AdaptiveProvider)
-			if !ok {
-				t.Fatalf("%s does not implement qiface.AdaptiveProvider", name)
-			}
-			ops, err := q.Register()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 500; i++ {
-				ops.Enqueue(uint64(i))
-				ops.Dequeue()
-			}
-			snap := ap.Adaptive()
-			if !snap.Enabled {
-				t.Fatal("Enabled = false on an adaptive queue")
-			}
-			if snap.PatienceMax == 0 || snap.SpinMax == 0 || snap.BackoffMax == 0 {
-				t.Errorf("window bounds not echoed: %+v", snap)
-			}
-			if len(snap.PatienceHist) != int(snap.PatienceMax)+1 {
-				t.Errorf("PatienceHist has %d buckets, want %d", len(snap.PatienceHist), snap.PatienceMax+1)
-			}
-			var pat uint64
-			for _, c := range snap.PatienceHist {
-				pat += c
-			}
-			if pat == 0 {
-				t.Error("patience histogram is empty after a registered handle ran")
-			}
-		})
-	}
-
-	q, err := MustLookup("wf-10").New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := q.(qiface.AdaptiveProvider).Adaptive(); snap.Enabled {
-		t.Error("wf-10 reports an enabled adaptive controller")
 	}
 }
 
@@ -419,9 +358,8 @@ func TestChurnSafeContract(t *testing.T) {
 	churnSafe := map[string]bool{
 		"wf-10": true, "wf-0": true, "wf-10-recycle": true, "wf-10-tiny": true,
 		"wf-sharded": true, "wf-sharded-1": true, "wf-sharded-8": true, "wf-sharded-rr": true,
-		"wf-adaptive": true, "wf-sharded-adaptive": true, "wf-sharded-topo": true,
-		"wf-10-mutexreg": true,
-		"wf-scq":         true, "wf-sharded-scq": true,
+		"wf-sharded-topo": true,
+		"wf-scq":          true, "wf-sharded-scq": true,
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,
 		"wf-coalesce-w64": true, "wf-sharded-coalesce": true, "wf-scq-coalesce": true,
 		"of": false, "lcrq": false, "lcrq-gc": false, "msqueue": false, "msqueue-gc": false,

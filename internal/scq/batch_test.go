@@ -280,6 +280,26 @@ func TestBatchMPMC(t *testing.T) {
 	}
 }
 
+// TestRingEnqueueBatchKeepsOrderPastPoison pins the batch order when an
+// early dequeuer has poisoned the first reserved ticket: the indices slide
+// along the reservation and spill onto a fresh ticket, so they are dequeued
+// in batch order rather than with the poisoned one moved to the back.
+func TestRingEnqueueBatchKeepsOrderPastPoison(t *testing.T) {
+	r := &ring{}
+	r.initRing(4, false) // capacity 8
+	t0 := r.tail.Load()
+	// What an early dequeuer leaves on an empty slot: the slot advanced to
+	// the ticket's own cycle, so the claim at t0 fails.
+	r.slots[r.remap(t0)] = r.pack(t0>>r.order, 1, r.bot)
+	r.enqueueBatch([]uint64{1, 2, 3})
+	for _, want := range []uint64{1, 2, 3} {
+		got, ok, _ := r.dequeue(0)
+		if !ok || got != want {
+			t.Fatalf("dequeue = (%d, %v), want %d", got, ok, want)
+		}
+	}
+}
+
 // TestBatchMPMCOrdered is TestBatchMPMC without the interferer: batched
 // traffic alone must preserve per-producer FIFO order.
 func TestBatchMPMCOrdered(t *testing.T) {

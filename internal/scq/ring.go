@@ -169,26 +169,31 @@ func (r *ring) claimAt(t, idx uint64) bool {
 
 // enqueueBatch publishes len(idxs) indices with ONE FAA reserving
 // len(idxs) consecutive tail tickets. Per-ticket validation is unchanged:
-// each reserved ticket runs the normal claim protocol, and an index whose
-// reserved ticket was poisoned by an early dequeuer retries on fresh
-// single tickets exactly as a scalar enqueue would. The interleaving is
-// therefore equivalent to len(idxs) scalar enqueuers whose tail FAAs
-// happened back-to-back — every SCQ invariant carries over unchanged.
-// The caller's not-full obligation is the same as enqueue's.
+// each reserved ticket runs the normal claim protocol once. An index whose
+// ticket was poisoned by an early dequeuer slides to the next reserved
+// ticket, and whatever the reservation cannot hold takes fresh single
+// tickets as a scalar enqueue would — so the indices land on increasing
+// tickets in batch order, and one producer's batch is never reordered. The
+// interleaving is equivalent to scalar enqueuers whose tail FAAs happened
+// back-to-back — every SCQ invariant carries over unchanged. The caller's
+// not-full obligation is the same as enqueue's.
 func (r *ring) enqueueBatch(idxs []uint64) {
 	k := uint64(len(idxs))
 	if k == 0 {
 		return
 	}
-	t0 := r.tail.Add(k) - k
-	//wfqlint:bounded(K, one claim attempt per reserved index: j ranges over the caller's batch)
-	for j, idx := range idxs {
-		if r.claimAt(t0+uint64(j), idx) {
-			continue
-		}
-		//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: a fresh ticket is abandoned only when a dequeuer poisoned its slot, which implies system-wide progress; at most n of 2n slots hold live entries, so the index lands after bounded interference)
+	next := r.tail.Add(k) - k
+	end := next + k
+	//wfqlint:bounded(K, one placement per index: the range is the caller's batch)
+	for _, idx := range idxs {
+		//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: a ticket — reserved or fresh — is abandoned only when a dequeuer poisoned its slot, which implies system-wide progress; at most n of 2n slots hold live entries, so the index lands after bounded interference)
 		for {
-			t := r.tail.Add(1) - 1
+			t := next
+			if t < end {
+				next++
+			} else {
+				t = r.tail.Add(1) - 1
+			}
 			if r.claimAt(t, idx) {
 				break
 			}

@@ -146,20 +146,3 @@ func TestLane1BatchLinearizable(t *testing.T) {
 		runLane1BatchScenario(t, 3, 4, 3, uint64(trial)*389+11)
 	}
 }
-
-// TestLane1AdaptiveLinearizable pins the WithAdaptive ordering contract at
-// Lanes(1): with nowhere to divert to, the adaptive queue keeps the strict
-// single-queue semantics — linearizable to a FIFO queue — while the core
-// controller (adaptive patience/spin, CAS backoff) runs underneath.
-func TestLane1AdaptiveLinearizable(t *testing.T) {
-	trials := 40
-	if testing.Short() {
-		trials = 8
-	}
-	for trial := 0; trial < trials; trial++ {
-		runLane1Scenario(t, 3, 6, uint64(trial)*241+13, WithAdaptive())
-	}
-	for trial := 0; trial < trials/4; trial++ {
-		runLane1Scenario(t, 6, 3, uint64(trial)*577+3, WithAdaptive())
-	}
-}

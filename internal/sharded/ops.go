@@ -5,136 +5,19 @@ import (
 	"unsafe"
 )
 
-// Adaptive dispatch tuning. The lane hotness score is a decaying sum of
-// contention events (failed fast-path CASes, slow-path entries, spin
-// fallbacks — core.Handle.ContentionEvents); handles fold in the deltas
-// their own operations generate (noteLane), so the score needs no extra
-// hot-path atomics beyond one Add when contention actually happened.
-const (
-	// hotDivertThreshold is the home-lane hotness below which dispatch
-	// never considers an alternative: a cool home always wins, keeping
-	// dispatch stable (and per-producer order intact) when uncontended.
-	hotDivertThreshold = 16
-	// hotDecayPeriod is how many operations a handle performs between
-	// halving attempts on the lane it used, so stale heat drains even when
-	// the contention source goes quiet.
-	hotDecayPeriod = 256
-	// noteSampleStride makes the counter fold in noteLane run on every
-	// stride-th operation instead of every one (power of two, tested with a
-	// mask). The events accumulate in the core counters between folds, so
-	// nothing is lost — the charge just lands in ≤ stride-op batches, and
-	// the uncontended hot path sheds the fold's loads from (stride-1)/stride
-	// of its operations.
-	noteSampleStride = 8
-)
-
-// pickLane selects the lane for an enqueue. Round-robin keeps its FAA
-// cursor. Affinity picks the home lane; in adaptive mode a hot home makes
-// the enqueue consider exactly one rotating alternative (power-of-two-
-// choices) and divert when that alternative is at most half as hot —
-// the hysteresis keeps a marginal difference from flapping values between
-// lanes. Diverting costs per-producer FIFO order (see WithAdaptive).
+// pickLane selects the lane for an enqueue: the round-robin cursor's next
+// lane under DispatchRoundRobin, else the handle's home lane.
 func (q *Queue) pickLane(h *Handle) int {
 	if q.dispatch == DispatchRoundRobin {
 		ctrInc(&h.stats.RRDispatches)
 		return int(uint64(atomic.AddInt64(&q.rr, 1)-1) % uint64(len(q.lanes)))
 	}
-	li := h.home
-	n := len(q.lanes)
-	if !q.adaptive || n == 1 {
-		return li
-	}
-	hot := atomic.LoadUint64(&q.lanes[li].hot)
-	if hot <= hotDivertThreshold {
-		return li
-	}
-	if q.topo != nil {
-		// Distance-constrained divert: same-LLC alternative first, one
-		// cross-domain spill candidate after (topo.go).
-		return q.altLaneTopo(h, li, hot)
-	}
-	alt := li + 1 + h.probe%(n-1)
-	if alt >= n {
-		alt -= n
-	}
-	h.probe++
-	if atomic.LoadUint64(&q.lanes[alt].hot) <= hot/2 {
-		ctrInc(&h.stats.HotDiverts)
-		return alt
-	}
-	return li
-}
-
-// noteLane charges lane li with the contention events h's core operations
-// on it generated since the last fold (owner-only snapshot in h.seen) —
-// sampled to every noteSampleStride-th call, since the events keep
-// accumulating in the core counters between folds — and every
-// hotDecayPeriod ops attempts one CAS halving of the used lane's score.
-// The single attempt may lose to a concurrent Add — that is fine, hotness
-// is a heuristic and the next period tries again.
-func (q *Queue) noteLane(h *Handle, li int) {
-	h.decayTick++
-	if h.decayTick&(noteSampleStride-1) == 0 {
-		ev := h.hs[li].ContentionEvents()
-		if d := ev - h.seen[li]; d != 0 {
-			h.seen[li] = ev
-			atomic.AddUint64(&q.lanes[li].hot, d)
-		}
-	}
-	if h.decayTick%hotDecayPeriod == 0 {
-		if cur := atomic.LoadUint64(&q.lanes[li].hot); cur > 0 {
-			atomic.CompareAndSwapUint64(&q.lanes[li].hot, cur, cur/2)
-		}
-	}
-}
-
-// hotKeyMax caps the hotness half of coolOrder's composite sort key so the
-// distance tier in the top byte always dominates: under a topology the sweep
-// orders lanes by (cache distance, hotness), never trading a near lane for a
-// marginally cooler remote one.
-const hotKeyMax = 1<<56 - 1
-
-// coolOrder sorts the non-home lanes by ascending hotness snapshot into
-// h.order (insertion sort over the owner-only scratch — at most MaxLanes-1
-// elements, no allocation) and returns it, so steal sweeps drain calm lanes
-// before wading into contended ones. Under a topology the sort key is
-// (distance tier, hotness): nearest lanes first, coolness breaking ties
-// within a tier.
-func (h *Handle) coolOrder() []int {
-	q := h.q
-	n := len(q.lanes)
-	var tiers []uint8
-	if q.stealTier != nil {
-		tiers = q.stealTier[h.home]
-	}
-	//wfqlint:bounded(LANES, one hotness probe per non-home lane)
-	for m := 0; m < n-1; m++ {
-		li := h.home + 1 + m
-		if li >= n {
-			li -= n
-		}
-		s := atomic.LoadUint64(&q.lanes[li].hot)
-		if tiers != nil {
-			if s > hotKeyMax {
-				s = hotKeyMax
-			}
-			s |= uint64(tiers[li]) << 56
-		}
-		j := m
-		//wfqlint:bounded(LANES, insertion step over the already-sorted prefix: at most LANES shifts)
-		for ; j > 0 && h.hotSnap[j-1] > s; j-- {
-			h.hotSnap[j] = h.hotSnap[j-1]
-			h.order[j] = h.order[j-1]
-		}
-		h.hotSnap[j] = s
-		h.order[j] = li
-	}
-	return h.order
+	return h.home
 }
 
 // sweepLane maps sweep position off ∈ [1, lanes) to a lane index: the
-// off-th coolest lane when an adaptive order is in hand, else the cyclic
-// neighbor (home+off mod lanes).
+// off-th entry of the home lane's steal order when one is in hand (the
+// topology's distance order), else the cyclic neighbor (home+off mod lanes).
 func (h *Handle) sweepLane(off int, order []int) int {
 	if order != nil {
 		return order[off-1]
@@ -150,9 +33,6 @@ func (h *Handle) sweepLane(off int, order []int) int {
 // sweeping consumer, doing the steal accounting on success.
 func (q *Queue) stealFrom(h *Handle, li int) (unsafe.Pointer, bool) {
 	v, ok := q.lanes[li].q.Dequeue(h.hs[li])
-	if q.adaptive {
-		q.noteLane(h, li)
-	}
 	if !ok {
 		return nil, false
 	}
@@ -164,11 +44,9 @@ func (q *Queue) stealFrom(h *Handle, li int) (unsafe.Pointer, bool) {
 
 // Enqueue appends v to the queue using handle h. Under DispatchAffinity the
 // value lands in h's home lane (preserving per-producer FIFO order); under
-// DispatchRoundRobin a shared FAA cursor picks the lane; in adaptive mode a
-// hot home lane may divert the value to a cooler alternative (pickLane; the
-// divert gives up per-producer ordering). v must not be nil (the core's
-// reserved ⊥). The operation is wait-free: one core enqueue plus at most
-// one FAA.
+// DispatchRoundRobin a shared FAA cursor picks the lane. v must not be nil
+// (the core's reserved ⊥). The operation is wait-free: one core enqueue
+// plus at most one FAA.
 func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	if q.scqCap != 0 {
 		q.scqEnqueue(h, v)
@@ -176,23 +54,19 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	}
 	li := q.pickLane(h)
 	q.lanes[li].q.Enqueue(h.hs[li], v)
-	if q.adaptive {
-		q.noteLane(h, li)
-	}
 	ctrInc(&h.stats.Enqueues)
 }
 
 // Dequeue removes and returns a value, or ok=false if every lane was
 // observed empty during the call. The home lane is drained first; when it
 // reports EMPTY the consumer turns work-stealer and sweeps the other lanes
-// — in cyclic order, or in coolness order (calmest lane first) when the
-// queue is adaptive — first the lanes whose size hint is nonzero (a real
-// dequeue on an empty lane poisons a cell, so the cheap racy hint filters
-// most misses), then, if the hint pass came back dry, a definitive pass
-// that performs a real dequeue on every remaining lane. Each of those
-// EMPTY returns is a per-lane linearization point inside this call's
-// interval, which is exactly the emptiness guarantee the relaxed contract
-// makes (package comment; DESIGN.md §4).
+// — in cyclic order, or nearest first under a topology — first the lanes
+// whose size hint is nonzero (a real dequeue on an empty lane poisons a
+// cell, so the cheap racy hint filters most misses), then, if the hint pass
+// came back dry, a definitive pass that performs a real dequeue on every
+// remaining lane. Each of those EMPTY returns is a per-lane linearization
+// point inside this call's interval, which is exactly the emptiness
+// guarantee the relaxed contract makes (package comment; DESIGN.md §4).
 //
 // The operation stays wait-free: at most 2·lanes core dequeues, each
 // individually wait-free. A steal can never lose or duplicate a value: the
@@ -203,9 +77,6 @@ func (q *Queue) Dequeue(h *Handle) (unsafe.Pointer, bool) {
 		return q.scqDequeue(h)
 	}
 	v, ok := q.lanes[h.home].q.Dequeue(h.hs[h.home])
-	if q.adaptive {
-		q.noteLane(h, h.home)
-	}
 	if ok {
 		ctrInc(&h.stats.Dequeues)
 		if q.park {
@@ -219,9 +90,7 @@ func (q *Queue) Dequeue(h *Handle) (unsafe.Pointer, bool) {
 	}
 	ctrInc(&h.stats.Sweeps)
 	var order []int
-	if q.adaptive {
-		order = h.coolOrder()
-	} else if q.stealOrder != nil {
+	if q.stealOrder != nil {
 		order = q.stealOrder[h.home]
 	}
 	// Hint pass: steal from lanes that look non-empty.
@@ -269,8 +138,8 @@ func (q *Queue) dequeueEmpty(h *Handle) bool {
 }
 
 // EnqueueBatch appends the values of vs in order using handle h. The whole
-// batch lands in ONE lane — picked exactly as Enqueue picks (home lane,
-// round-robin cursor, or hotness-diverted alternative) — so the core's
+// batch lands in ONE lane — picked exactly as Enqueue picks (home lane or
+// round-robin cursor) — so the core's
 // single-FAA k-cell reservation applies unchanged and intra-batch order is
 // a single lane's FIFO order.
 func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
@@ -283,15 +152,12 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 	}
 	li := q.pickLane(h)
 	q.lanes[li].q.EnqueueBatch(h.hs[li], vs)
-	if q.adaptive {
-		q.noteLane(h, li)
-	}
 	ctrAdd(&h.stats.Enqueues, uint64(len(vs)))
 }
 
 // DequeueBatch fills dst from the home lane first, then tops up any
-// shortfall by sweeping the other lanes with batched steals (cyclic order,
-// or coolness order when adaptive). It returns the number of values stored;
+// shortfall by sweeping the other lanes with batched steals (the same order
+// as Dequeue's sweep). It returns the number of values stored;
 // a short return means every lane was observed EMPTY (per lane, within the
 // call) — the batched analogue of Dequeue's ok=false.
 func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
@@ -302,9 +168,6 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 		return q.scqDequeueBatch(h, dst)
 	}
 	got := q.lanes[h.home].q.DequeueBatch(h.hs[h.home], dst)
-	if q.adaptive {
-		q.noteLane(h, h.home)
-	}
 	n := len(q.lanes)
 	if got == len(dst) || n == 1 {
 		ctrAdd(&h.stats.Dequeues, uint64(got))
@@ -313,9 +176,7 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 	}
 	ctrInc(&h.stats.Sweeps)
 	var order []int
-	if q.adaptive {
-		order = h.coolOrder()
-	} else if q.stealOrder != nil {
+	if q.stealOrder != nil {
 		order = q.stealOrder[h.home]
 	}
 	//wfqlint:bounded(LANES, batch sweep: at most one per-lane DequeueBatch per non-home lane)
@@ -323,9 +184,6 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 		li := h.sweepLane(off, order)
 		ln := &q.lanes[li]
 		m := ln.q.DequeueBatch(h.hs[li], dst[got:])
-		if q.adaptive {
-			q.noteLane(h, li)
-		}
 		if m > 0 {
 			atomic.AddUint64(&ln.stolenFrom, uint64(m))
 			ctrAdd(&h.stats.Steals, uint64(m))

@@ -22,18 +22,13 @@ import (
 // exists to provide — so a full home lane rejects even while other lanes
 // have room. Capacity() still reports the total (lanes × lane capacity)
 // because that is the retention bound the flat-RSS gate cares about.
-//
-// Adaptive dispatch is disabled in SCQ mode: hotness scoring feeds on the
-// core handles' contention events, which SCQ lanes do not expose, and a
-// hot-divert would give up per-producer ordering for a signal that cannot
-// exist here. New silently drops WithAdaptive when WithSCQLanes is set.
 
 // WithSCQLanes makes every lane a bounded SCQ ring (internal/scq) of at
 // least the given capacity per lane (rounded up to a power of two, minimum
 // scq.MinCapacity) instead of an unbounded core queue. The queue then
 // provides the bounded contract: TryEnqueue/ErrFull backpressure, fixed
 // retention of Lanes() × lane capacity values, and zero steady-state
-// allocation. Implies non-adaptive dispatch (see the package note above).
+// allocation.
 func WithSCQLanes(capacity int) Option {
 	return func(c *config) {
 		if capacity < 1 {

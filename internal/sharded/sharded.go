@@ -100,7 +100,6 @@ type config struct {
 	lanes    int
 	dispatch Dispatch
 	cpuHome  bool
-	adaptive bool
 	coreOpts []core.Option
 	// scqCap, when nonzero, selects SCQ lane mode: every lane is a bounded
 	// scq ring of this capacity instead of a core queue (see scqlane.go).
@@ -149,28 +148,6 @@ func WithCoreOptions(opts ...core.Option) Option {
 	return func(c *config) { c.coreOpts = append(c.coreOpts, opts...) }
 }
 
-// WithAdaptive turns on contention adaptivity at both layers: every lane's
-// core queue runs the adaptive controller (core.WithAdaptive), and the
-// sharded layer maintains a per-lane hotness score from the same signals.
-// Hotness drives dispatch away from contended lanes — a producer's home
-// lane still wins while it is cool, but a hot home makes the enqueue
-// consider one alternative lane (power-of-two-choices) — and makes the
-// steal sweep visit lanes in coolness order, so stealers drain the calm
-// lanes before wading into a storm.
-//
-// Diverting an enqueue off its home lane gives up the per-producer FIFO
-// guarantee of DispatchAffinity (consecutive values from one producer may
-// land in different lanes), so an adaptive queue promises only
-// no-loss/no-duplication, like DispatchRoundRobin — that is the ordering
-// price of contention-aware balancing. Lanes(1) is unaffected (there is
-// nowhere to divert to) and keeps strict FIFO semantics.
-func WithAdaptive() Option {
-	return func(c *config) {
-		c.adaptive = true
-		c.coreOpts = append(c.coreOpts, core.WithAdaptive())
-	}
-}
-
 // lane wraps one core queue. The descriptor line (q) is read by every
 // operation; stolenFrom is written (rarely) by stealing consumers. The
 // padding keeps each lane's mutable word off its neighbors' descriptor
@@ -189,12 +166,7 @@ type lane struct {
 	// stolenFrom counts values removed from this lane by handles homed
 	// elsewhere (atomic).
 	stolenFrom uint64
-	// hot is the lane's contention score (atomic; adaptive mode only):
-	// handles fold in the contention-event deltas their core operations
-	// generate and periodically halve it (ops.go noteLane). It is a
-	// heuristic dispatch hint — correctness never depends on its value.
-	hot uint64
-	_   pad.CacheLinePad
+	_          pad.CacheLinePad
 }
 
 // Counters are per-handle sharded-layer instrumentation (the per-lane core
@@ -207,9 +179,7 @@ type Counters struct {
 	Steals        uint64 // values obtained from a non-home lane
 	Sweeps        uint64 // dequeue calls that had to look beyond the home lane
 	RRDispatches  uint64 // enqueues routed by the round-robin cursor
-	HotDiverts    uint64 // enqueues diverted off a hot home lane (adaptive)
 	FullRejects   uint64 // TryEnqueues rejected by a full lane (SCQ mode)
-	DomainSpills  uint64 // diverts that left the home LLC domain (topology mode)
 	Parks         uint64 // empty-dequeue spin parks taken (parking ladder)
 	ParkYields    uint64 // empty-dequeue Gosched yields past the top rung
 }
@@ -234,7 +204,6 @@ type Queue struct {
 	lanes      []lane
 	dispatch   Dispatch
 	cpuHome    bool
-	adaptive   bool
 	maxHandles int
 	// scqCap is the requested per-lane ring capacity in SCQ mode (0 in core
 	// mode); the effective, rounded-up value is LaneCapacity(). int64 keeps
@@ -265,21 +234,15 @@ type Queue struct {
 	topo   *affinity.Topology
 	park   bool
 	cpuSrc func() (int, bool)
-	// laneCPU anchors each lane to a representative CPU; laneDomain is that
-	// CPU's LLC domain; domainLanes lists each domain's lanes (Register's
-	// placement pool); stealOrder is each home lane's distance-ordered visit
-	// sequence over the other lanes; stealTier caches the distance tier of
-	// every lane from every home (coolOrder's sort-key input); sameDomain is
-	// the number of same-domain entries leading each stealOrder row.
+	// laneCPU anchors each lane to a representative CPU; domainLanes lists
+	// each LLC domain's lanes (Register's placement pool); stealOrder is each
+	// home lane's distance-ordered visit sequence over the other lanes.
 	laneCPU     []int
-	laneDomain  []int
 	domainLanes [][]int
 	stealOrder  [][]int
-	stealTier   [][]uint8
-	sameDomain  []int
 
 	// The lock-free shell pool (see Register): every Handle shell — the hs
-	// slice, the adaptive scratch, the stats — is allocated once at New and
+	// slice and the stats — is allocated once at New and
 	// recirculated through a generation-tagged free list, the same idiom as
 	// the core handle pool (core/handlepool.go), so Register/Release is
 	// lock-free and allocation-free at this layer too. hfree packs
@@ -300,18 +263,6 @@ type Handle struct {
 	home int
 	hs   []*core.Handle // per-lane core handles, indexed by lane id
 	shs  []*scq.Handle  // per-lane scq handles in SCQ mode (nil otherwise)
-
-	// Adaptive-dispatch scratch (allocated at Register in adaptive mode,
-	// nil otherwise; all owner-only). seen holds the last contention-event
-	// snapshot per lane (noteLane attributes deltas to lanes); order and
-	// hotSnap are the coolness-sort scratch of the steal sweep; probe is
-	// the rotating power-of-two-choices cursor; decayTick schedules the
-	// periodic hotness halving.
-	seen      []uint64
-	order     []int
-	hotSnap   []uint64
-	probe     int
-	decayTick uint64
 
 	// Lifecycle state (see Register/Release): idx is the shell's fixed slot
 	// in Queue.shells; freeNext links free shells by index+1 (0 terminates),
@@ -362,8 +313,6 @@ func New(maxHandles int, opts ...Option) *Queue {
 		n = DefaultLanes()
 	}
 	if cfg.scqCap != 0 {
-		// SCQ mode cannot feed hotness scoring (see scqlane.go).
-		cfg.adaptive = false
 		// The scq handle pool packs indices into handleIdxBits of the
 		// free-list word; stay clearly inside it.
 		if maxHandles > 1<<16 {
@@ -380,7 +329,6 @@ func New(maxHandles int, opts ...Option) *Queue {
 		lanes:    make([]lane, n),
 		dispatch: cfg.dispatch,
 		cpuHome:  cfg.cpuHome,
-		adaptive: cfg.adaptive,
 		scqCap:   int64(cfg.scqCap),
 		coalesce: int64(cfg.coalesce),
 		topo:     cfg.topo,
@@ -402,7 +350,7 @@ func New(maxHandles int, opts ...Option) *Queue {
 		// every lane (see the counting argument on Register).
 		q.maxHandles = q.lanes[0].q.Capacity()
 	}
-	// Pre-allocate every Handle shell — hs slice, adaptive scratch, stats —
+	// Pre-allocate every Handle shell — hs slice, stats —
 	// and chain them onto the lock-free free list (shell i links to i+1,
 	// 1-based; the last links to 0). Register/Release recirculate these
 	// shells without allocating.
@@ -413,11 +361,6 @@ func New(maxHandles int, opts ...Option) *Queue {
 			h.shs = make([]*scq.Handle, n)
 		} else {
 			h.hs = make([]*core.Handle, n)
-		}
-		if cfg.adaptive {
-			h.seen = make([]uint64, n)
-			h.order = make([]int, n-1)
-			h.hotSnap = make([]uint64, n-1)
 		}
 		q.shells[i] = h
 	}
@@ -551,20 +494,6 @@ func (q *Queue) RegisterOnLane(home int) (*Handle, error) {
 			h.hs[i] = ch
 		}
 	}
-	if q.adaptive {
-		// Re-snapshot the contention baseline: the core handles this shell
-		// received carry whatever event counts their previous owners ran up,
-		// and noteLane attributes deltas against these snapshots (a stale
-		// baseline would credit a reused handle's entire history to the
-		// first operation's lane). Reset the rotating probe cursor and decay
-		// clock with it.
-		//wfqlint:bounded(LANES, snapshot one contention baseline per lane handle)
-		for i := range h.seen {
-			h.seen[i] = h.hs[i].ContentionEvents()
-		}
-		h.probe = 0
-		h.decayTick = 0
-	}
 	h.life.Add(1) // odd: checked out
 	return h, nil
 }
@@ -618,9 +547,7 @@ func (c *Counters) add(o *Counters) {
 	c.Steals += ctrLoad(&o.Steals)
 	c.Sweeps += ctrLoad(&o.Sweeps)
 	c.RRDispatches += ctrLoad(&o.RRDispatches)
-	c.HotDiverts += ctrLoad(&o.HotDiverts)
 	c.FullRejects += ctrLoad(&o.FullRejects)
-	c.DomainSpills += ctrLoad(&o.DomainSpills)
 	c.Parks += ctrLoad(&o.Parks)
 	c.ParkYields += ctrLoad(&o.ParkYields)
 }
@@ -658,23 +585,6 @@ func (q *Queue) Stats() QueueStats {
 	// every shell covers live and released handles alike, monotonically.
 	for _, h := range q.shells {
 		st.Sharded.add(&h.stats)
-	}
-	return st
-}
-
-// Adaptive reports whether the queue was built with WithAdaptive.
-func (q *Queue) Adaptive() bool { return q.adaptive }
-
-// AdaptiveStats merges every lane's core adaptive-controller snapshot into
-// one view (see core.AdaptiveStats). Zero-valued with Enabled=false when the
-// queue is not adaptive.
-func (q *Queue) AdaptiveStats() core.AdaptiveStats {
-	if q.scqCap != 0 {
-		return core.AdaptiveStats{} // SCQ lanes carry no adaptive controller
-	}
-	st := q.lanes[0].q.AdaptiveStats()
-	for i := 1; i < len(q.lanes); i++ {
-		st.Merge(q.lanes[i].q.AdaptiveStats())
 	}
 	return st
 }

@@ -3,7 +3,7 @@ package sharded
 // Topology-aware placement, cache-distance stealing and empty-queue parking
 // (DESIGN.md §9). With WithTopology the queue stops treating lanes as
 // interchangeable: every lane is anchored to a representative CPU, lanes are
-// spread round-robin over the machine's LLC domains, and three decisions
+// spread round-robin over the machine's LLC domains, and two decisions
 // consult the distance structure instead of lane indices:
 //
 //   - Placement: Register homes a handle on a lane inside the calling CPU's
@@ -15,9 +15,6 @@ package sharded
 //     coherence traffic. The EMPTY-witness second pass is unchanged: the
 //     order of the sweep is a performance decision, the per-lane witness is
 //     the correctness one.
-//   - Diverting (adaptive mode): the power-of-two-choices alternative for a
-//     hot home lane is drawn from the same LLC domain first and only spills
-//     cross-domain when no in-domain lane is cool enough.
 //
 // All tables are precomputed at New from an immutable affinity.Topology
 // snapshot; the hot paths only index them. Correctness never depends on the
@@ -26,14 +23,13 @@ package sharded
 // map clamps (affinity.Topology accessors are total, homeLaneFor guards
 // empty domains), so placement can never index a vanished lane.
 //
-// WithParking adds the third leg: consumers whose dequeues keep coming back
+// WithParking adds a third leg: consumers whose dequeues keep coming back
 // EMPTY climb a bounded spin-then-yield ladder instead of re-sweeping at
 // full speed, taking their cache-line traffic off the very cores the
-// producers need. The ladder is per-handle and EWMA-gated like the PR 5
-// controller; one parked call costs at most core.ParkSpinMax pause
-// iterations plus one Gosched, so the operation's step bound grows by a
-// compile-time constant (priced into artifacts/wfqcert.json via the PARK
-// symbol).
+// producers need. The ladder is per-handle and EWMA-gated; one parked call
+// costs at most core.ParkSpinMax pause iterations plus one Gosched, so the
+// operation's step bound grows by a compile-time constant (priced into
+// artifacts/wfqcert.json via the PARK symbol).
 
 import (
 	"runtime"
@@ -45,7 +41,7 @@ import (
 )
 
 // WithTopology anchors the queue's lanes to the given topology snapshot and
-// turns on the three distance-aware decisions above. nil leaves the queue
+// turns on the two distance-aware decisions above. nil leaves the queue
 // topology-blind (the previous modular-index behavior). Typical use passes
 // affinity.System(); tests and fault injectors pass affinity.Build fakes.
 func WithTopology(t *affinity.Topology) Option {
@@ -74,8 +70,7 @@ func WithCPUSource(src func() (int, bool)) Option {
 // through parkRungs rungs; past the top rung every further empty dequeue
 // yields the processor once. Any successful dequeue resets the climb.
 const (
-	// parkWindow is how many dequeues one EWMA fold covers, matching the
-	// adaptive controller's window granularity (core.adaptWindow).
+	// parkWindow is how many dequeues one EWMA fold covers.
 	parkWindow = 64
 	// parkArmQ8 is the Q8 empty-rate EWMA at which the ladder arms (≥ 0.75
 	// of recent dequeues EMPTY). Below it parkEmpty returns immediately, so
@@ -129,25 +124,20 @@ func (q *Queue) parkEmpty(h *Handle) {
 // lane→CPU anchoring (lanes spread round-robin over LLC domains, then over
 // each domain's CPUs), the per-domain lane lists Register draws from, the
 // per-lane steal orders (other lanes by cache distance between anchor CPUs,
-// ties by lane index — deterministic), and the per-lane distance tiers the
-// adaptive coolOrder folds into its sort key.
+// ties by lane index — deterministic).
 func (q *Queue) initTopology() {
 	t := q.topo
 	n := len(q.lanes)
 	nd := t.NumLLC()
 	q.laneCPU = make([]int, n)
-	q.laneDomain = make([]int, n)
 	q.domainLanes = make([][]int, nd)
 	for i := 0; i < n; i++ {
 		d := i % nd
 		cpus := t.LLCCPUs(d)
 		q.laneCPU[i] = cpus[(i/nd)%len(cpus)]
-		q.laneDomain[i] = d
 		q.domainLanes[d] = append(q.domainLanes[d], i)
 	}
 	q.stealOrder = make([][]int, n)
-	q.stealTier = make([][]uint8, n)
-	q.sameDomain = make([]int, n)
 	for i := 0; i < n; i++ {
 		others := make([]int, 0, n-1)
 		for j := 0; j < n; j++ {
@@ -164,12 +154,6 @@ func (q *Queue) initTopology() {
 			return others[a] < others[b]
 		})
 		q.stealOrder[i] = others
-		tiers := make([]uint8, n)
-		for j := 0; j < n; j++ {
-			tiers[j] = uint8(t.Distance(q.laneCPU[i], q.laneCPU[j]))
-		}
-		q.stealTier[i] = tiers
-		q.sameDomain[i] = len(q.domainLanes[q.laneDomain[i]]) - 1
 	}
 }
 
@@ -186,34 +170,6 @@ func (q *Queue) homeLaneFor(cpu int) int {
 	}
 	ls := q.domainLanes[d]
 	return ls[int(seq%int64(len(ls)))]
-}
-
-// altLaneTopo is pickLane's divert probe under a topology: one rotating
-// candidate from the home domain first, then one rotating cross-domain
-// candidate from the distance-ordered remainder — at most two hotness loads,
-// same cost shape as the topology-blind power-of-two-choices probe, but the
-// spill stays cache-local whenever any in-domain lane is cool enough.
-func (q *Queue) altLaneTopo(h *Handle, li int, hot uint64) int {
-	so := q.stealOrder[li]
-	nd := q.sameDomain[li]
-	if nd > 0 {
-		alt := so[h.probe%nd]
-		h.probe++
-		if atomic.LoadUint64(&q.lanes[alt].hot) <= hot/2 {
-			ctrInc(&h.stats.HotDiverts)
-			return alt
-		}
-	}
-	if len(so) > nd {
-		alt := so[nd+h.probe%(len(so)-nd)]
-		h.probe++
-		if atomic.LoadUint64(&q.lanes[alt].hot) <= hot/2 {
-			ctrInc(&h.stats.HotDiverts)
-			ctrInc(&h.stats.DomainSpills)
-			return alt
-		}
-	}
-	return li
 }
 
 // Topology returns the snapshot the queue was built with (nil when

@@ -32,7 +32,7 @@ func TestTopoRegisterHomesInDomain(t *testing.T) {
 			t.Fatalf("Register: %v", err)
 		}
 		want := topo.LLC(cpu)
-		if got := q.laneDomain[h.Home()]; got != want {
+		if got := topo.LLC(q.LaneCPU(h.Home())); got != want {
 			t.Fatalf("cpu %d homed on lane %d in domain %d, want domain %d", cpu, h.Home(), got, want)
 		}
 		h.Release()
@@ -147,98 +147,13 @@ func TestTopoStealOrderPrefersNearLanes(t *testing.T) {
 	// cross-domain lanes 1, 3, 5, 7.
 	so := q.StealOrder(0)
 	for i, li := range so {
-		near := q.laneDomain[li] == q.laneDomain[0]
+		near := topo.LLC(q.LaneCPU(li)) == topo.LLC(q.LaneCPU(0))
 		if i < 3 && !near {
 			t.Fatalf("StealOrder(0) = %v: position %d is cross-domain lane %d before the same-domain lanes", so, i, li)
 		}
 		if i >= 3 && near {
 			t.Fatalf("StealOrder(0) = %v: same-domain lane %d sorted after cross-domain lanes", so, li)
 		}
-	}
-	if q.sameDomain[0] != 3 {
-		t.Fatalf("sameDomain[0] = %d, want 3", q.sameDomain[0])
-	}
-}
-
-func TestTopoCoolOrderTierDominatesHotness(t *testing.T) {
-	topo := fakeTopo8()
-	q := New(1, WithLanes(8), WithTopology(topo), WithAdaptive())
-	h, err := q.Register()
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	defer h.Release()
-	// Make every same-domain lane much hotter than every cross-domain lane:
-	// the tier byte must still sort the near lanes first.
-	for li := 0; li < q.Lanes(); li++ {
-		if q.laneDomain[li] == q.laneDomain[h.Home()] {
-			q.lanes[li].hot = 1 << 20
-		}
-	}
-	order := h.coolOrder()
-	if len(order) != q.Lanes()-1 {
-		t.Fatalf("coolOrder returned %d lanes, want %d", len(order), q.Lanes()-1)
-	}
-	for i, li := range order {
-		near := q.laneDomain[li] == q.laneDomain[h.Home()]
-		if i < q.sameDomain[h.Home()] && !near {
-			t.Fatalf("coolOrder = %v: cross-domain lane %d sorted before hot same-domain lanes", order, li)
-		}
-	}
-}
-
-func TestTopoDivertStaysInDomain(t *testing.T) {
-	topo := fakeTopo8()
-	q := New(1, WithLanes(8), WithTopology(topo), WithAdaptive())
-	h, err := q.RegisterOnLane(0)
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	defer h.Release()
-	// Home lane 0 is scorching; all other lanes are cold. Every divert must
-	// land in lane 0's domain (the in-domain probe always finds a cool lane).
-	q.lanes[0].hot = 1 << 16
-	for i := 0; i < 64; i++ {
-		li := q.pickLane(h)
-		if li != 0 && q.laneDomain[li] != q.laneDomain[0] {
-			t.Fatalf("divert %d left the home domain: lane %d (domain %d)", i, li, q.laneDomain[li])
-		}
-	}
-	if got := ctrLoad(&h.stats.HotDiverts); got == 0 {
-		t.Fatal("no diverts recorded despite a scorching home lane")
-	}
-	if got := ctrLoad(&h.stats.DomainSpills); got != 0 {
-		t.Fatalf("%d domain spills despite cool same-domain lanes", got)
-	}
-}
-
-func TestTopoDivertSpillsWhenDomainHot(t *testing.T) {
-	topo := fakeTopo8()
-	q := New(1, WithLanes(8), WithTopology(topo), WithAdaptive())
-	h, err := q.RegisterOnLane(0)
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	defer h.Release()
-	// The whole home domain is scorching, the remote domain is cold: the
-	// divert must spill cross-domain and say so in the counters.
-	for li := 0; li < q.Lanes(); li++ {
-		if q.laneDomain[li] == q.laneDomain[0] {
-			q.lanes[li].hot = 1 << 16
-		}
-	}
-	spilled := false
-	for i := 0; i < 64; i++ {
-		li := q.pickLane(h)
-		if li != 0 && q.laneDomain[li] != q.laneDomain[0] {
-			spilled = true
-		}
-	}
-	if !spilled {
-		t.Fatal("divert never spilled cross-domain despite a scorching home domain")
-	}
-	if got := ctrLoad(&h.stats.DomainSpills); got == 0 {
-		t.Fatal("DomainSpills counter not incremented")
 	}
 }
 

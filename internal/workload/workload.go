@@ -30,15 +30,6 @@ const (
 	// a DequeueBatch of B, so one iteration counts as 2B operations. With
 	// B=1 it degenerates to Pairs.
 	PairsBatched
-	// Bursty is the pairs benchmark with alternating contention phases:
-	// BurstPhase consecutive pairs run back to back with NO inter-operation
-	// work (a contention storm), then BurstPhase pairs run with the work
-	// stretched 4× (a quiet spell), and so on. Threads share phase
-	// boundaries (the phase is a function of the pair index), so storms
-	// collide queue-wide — the regime a contention-adaptive hot path is
-	// built for, and the pathological one for any fixed patience/spin
-	// setting.
-	Bursty
 	// Churn is the handle-lifecycle workload: each thread repeatedly
 	// registers a fresh handle, runs ChurnPairs enqueue–dequeue pairs
 	// through it (with the usual inter-operation work), and releases it —
@@ -67,12 +58,6 @@ const (
 	StalledConsumer
 )
 
-// BurstPhase is the Bursty phase length in pairs: storms and quiet spells
-// each last this many consecutive enqueue–dequeue pairs per thread — a few
-// adaptive controller windows, so the controller can both react within a
-// phase and re-adapt at every boundary.
-const BurstPhase = 512
-
 // ChurnPairs is how many enqueue–dequeue pairs a Churn cycle performs
 // between Register and Release. Small enough that lifecycle cost is a
 // visible fraction of each cycle (the point of the workload), large enough
@@ -88,8 +73,6 @@ func (k Kind) String() string {
 		return "50%-enqueues"
 	case PairsBatched:
 		return "enqueue-dequeue-pairs-batched"
-	case Bursty:
-		return "bursty-pairs"
 	case Churn:
 		return "handle-churn-pairs"
 	case RunGrouped:
@@ -105,7 +88,7 @@ func (k Kind) String() string {
 // its Kind, for harnesses that round-trip workloads through recorded
 // baseline documents.
 func ParseKind(s string) (Kind, bool) {
-	for _, k := range []Kind{Pairs, HalfHalf, PairsBatched, Bursty, Churn, RunGrouped, StalledConsumer} {
+	for _, k := range []Kind{Pairs, HalfHalf, PairsBatched, Churn, RunGrouped, StalledConsumer} {
 		if k.String() == s {
 			return k, true
 		}

@@ -69,7 +69,8 @@ type Option = core.Option
 // WithPatience sets how many times an operation retries its FAA+CAS fast
 // path before publishing a helping request (default 10, the paper's WF-10;
 // 0 gives the paper's WF-0, which exercises the slow path on first
-// failure).
+// failure). Values are clamped to [0, 16], the bound the wait-freedom
+// certificate assumes.
 func WithPatience(p int) Option { return core.WithPatience(p) }
 
 // WithSegmentShift sets the log2 of the cells per segment (default 10).
@@ -84,20 +85,6 @@ func WithMaxGarbage(g int64) Option { return core.WithMaxGarbage(g) }
 // WithRecycling reuses reclaimed segments through an internal pool instead
 // of releasing them to the garbage collector.
 func WithRecycling(on bool) Option { return core.WithRecycling(on) }
-
-// WithAdaptive makes PATIENCE and the helping spin budget self-tuning: each
-// handle tracks its own contention signals (fast-path CAS failure rate,
-// slow-path entry rate, empty-dequeue rate) and moves the effective knobs
-// within fixed compile-time windows, and failed fast-path CASes back off
-// with a bounded pause ladder. Wait-freedom is unchanged — every window is
-// bounded, so every operation still completes in a bounded number of steps.
-// See DESIGN.md §3.3.
-func WithAdaptive() Option { return core.WithAdaptive() }
-
-// WithFixed pins PATIENCE and the spin budget to their configured values
-// (the paper's behavior, and the default); it undoes an earlier
-// WithAdaptive in the option list.
-func WithFixed() Option { return core.WithFixed() }
 
 // WithCoalescing sets the operation-coalescing window (default 1 =
 // disabled): each Handle buffers up to window enqueued values and publishes
@@ -162,12 +149,6 @@ func (q *Queue[T]) Stats() core.Counters { return q.q.Stats() }
 // ReclaimedSegments reports how many retired segments the reclamation
 // scheme has freed since construction.
 func (q *Queue[T]) ReclaimedSegments() uint64 { return q.q.ReclaimedSegments() }
-
-// AdaptiveStats returns a snapshot of the adaptivity controller: step and
-// raise/lower counts per knob plus histograms of where the effective
-// patience and spin budget currently sit across handles. Enabled is false
-// (and the rest zero) unless the queue was built WithAdaptive.
-func (q *Queue[T]) AdaptiveStats() core.AdaptiveStats { return q.q.AdaptiveStats() }
 
 // Handle is a registration of one concurrent participant. A Handle must be
 // used by at most one goroutine at a time.

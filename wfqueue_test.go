@@ -162,33 +162,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAdaptiveFacade(t *testing.T) {
-	q := wfqueue.New[int](2, wfqueue.WithAdaptive())
-	if st := q.AdaptiveStats(); !st.Enabled {
-		t.Fatal("WithAdaptive must reach the core: AdaptiveStats().Enabled = false")
-	}
-	h, _ := q.Register()
-	defer h.Release()
-	for i := 0; i < 1000; i++ {
-		h.Enqueue(i)
-		if v, ok := h.Dequeue(); !ok || v != i {
-			t.Fatalf("round %d: got (%d,%v)", i, v, ok)
-		}
-	}
-	st := q.AdaptiveStats()
-	var handles uint64
-	for _, c := range st.PatienceHist {
-		handles += c
-	}
-	if handles == 0 {
-		t.Error("patience histogram empty: controller snapshot not wired through")
-	}
-	// WithFixed after WithAdaptive restores the default.
-	if st := wfqueue.New[int](1, wfqueue.WithAdaptive(), wfqueue.WithFixed()).AdaptiveStats(); st.Enabled {
-		t.Error("WithFixed must undo an earlier WithAdaptive")
-	}
-}
-
 func TestReleaseIdempotent(t *testing.T) {
 	q := wfqueue.New[int](1)
 	h, _ := q.Register()
