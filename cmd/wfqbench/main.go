@@ -10,58 +10,12 @@
 //	wfqbench figure2 [-bench pairs|half|both] [flags]
 //	wfqbench table2  [flags]
 //	wfqbench single  [flags]
-//	wfqbench json    [-out BENCH_core.json] [flags]
-//	wfqbench handles [-out BENCH_handles.json] [flags]
-//	wfqbench scq     [-out BENCH_scq.json] [flags]
-//	wfqbench coalesce [-out BENCH_coalesce.json] [flags]
-//	wfqbench topo    [-out BENCH_topo.json] [flags]
-//	wfqbench trajectory [-out BENCH_trajectory.json]
-//	wfqbench compare [-baseline BENCH_core.json] [-tolerance 0.20] [-strict] [flags]
+//	wfqbench latency [flags]
 //	wfqbench all     [flags]
 //
-// The json subcommand is the repository's perf-baseline emitter: it runs
-// the pairs workload for every selected queue, records throughput plus the
-// memory-path metrics (allocs/op, bytes/op, GC pause totals), verifies the
-// core queue's hot path performs zero steady-state heap allocations
-// (exiting nonzero if not — the CI gate), and writes it all as one
-// machine-readable JSON document.
-//
-// The compare subcommand is the trajectory gate over such a document: it
-// re-runs the baseline's measurement with the baseline's own parameters and
-// exits 1 on any steady-state allocation regression, or on a >-tolerance
-// wall-throughput regression when the platforms match (or -strict).
-//
-// The handles subcommand is the handle-lifecycle baseline emitter
-// (BENCH_handles.json): it verifies Register/Release are allocation-free for
-// the core and sharded pools (exact, deterministic — exits 1 if not) and
-// runs the handle-churn workload over the churn-safe queues.
-//
-// The scq subcommand is the bounded-ring baseline emitter (BENCH_scq.json):
-// it verifies the warm SCQ ring's TryEnqueue/Dequeue hot path allocates
-// nothing, measures the bounded variants' pairs throughput and the pairwise
-// wf-scq vs wf-10 ratio, and runs the stalled-consumer adversary — bounded
-// queues must keep their live-heap retention under a capacity-derived bound
-// while wf-10's linear growth is recorded alongside (exits 1 on any gate).
-//
-// The coalesce subcommand is the operation-coalescing baseline emitter
-// (BENCH_coalesce.json): per window in {1,4,16,64} it verifies the coalesced
-// hot path allocates nothing at steady state and measures the run-grouped
-// pairwise ratio against plain wf-10 — window 1 must stay within -tolerance
-// of wf-10 (the passthrough may not tax the disabled path) and window 16
-// must never be a pessimization (exits 1 on any gate).
-//
-// The topo subcommand is the topology-placement baseline emitter
-// (BENCH_topo.json): it verifies the topology surface (placement tables,
-// distance-ordered sweeps, the parking ladder) allocates nothing, records
-// Figure-2-style throughput-vs-threads curves for wf-10 / wf-sharded /
-// wf-sharded-topo over a GOMAXPROCS sweep, and gates the pairwise
-// topo-over-sharded ratio on multi-core hosts (topology placement must not
-// tax blind sharding; on one hardware thread the curves are recorded as
-// degenerate and the ratio is informational).
-//
-// The trajectory subcommand merges every committed BENCH_*.json into one
-// schema-versioned BENCH_trajectory.json keyed by the PR that introduced
-// each baseline; it runs nothing and reads only committed artifacts.
+// The repository benchmark with its per-layer ladder is wfqperf
+// (BENCHMARK.json); the zero-allocation and stall-retention gates are
+// go tests in internal/bench.
 //
 // Common flags:
 //
@@ -76,7 +30,7 @@
 //	-paper   use the paper's full parameters (slow!)
 //	-nowork  drop the 50-100ns random inter-operation work
 //	-nopin   do not pin workers to hardware threads
-//	-csv      append rows as CSV to the given file
+//	-csv     append rows as CSV to the given file
 //	-list    list registered queue implementations and exit
 package main
 
@@ -97,20 +51,18 @@ import (
 )
 
 type options struct {
-	plot       bool
-	queues     []string
-	threads    []int
-	threadsSet bool // -threads was given explicitly
-	ops        int
-	batch      int
-	trials     int
-	iters      int
-	paper      bool
-	nowork     bool
-	nopin      bool
-	csvPath    string
-	outPath    string
-	benchKs    []workload.Kind
+	plot    bool
+	queues  []string
+	threads []int
+	ops     int
+	batch   int
+	trials  int
+	iters   int
+	paper   bool
+	nowork  bool
+	nopin   bool
+	csvPath string
+	benchKs []workload.Kind
 }
 
 func main() {
@@ -130,23 +82,6 @@ func main() {
 	nowork := fs.Bool("nowork", false, "no random work between operations")
 	nopin := fs.Bool("nopin", false, "do not pin threads")
 	csvPath := fs.String("csv", "", "append results as CSV to this file")
-	outDefault := "BENCH_core.json"
-	switch cmd {
-	case "handles":
-		outDefault = "BENCH_handles.json"
-	case "scq":
-		outDefault = "BENCH_scq.json"
-	case "coalesce":
-		outDefault = "BENCH_coalesce.json"
-	case "topo":
-		outDefault = "BENCH_topo.json"
-	case "trajectory":
-		outDefault = "BENCH_trajectory.json"
-	}
-	outPath := fs.String("out", outDefault, "json/handles: output path for the benchmark baseline")
-	baselinePath := fs.String("baseline", "BENCH_core.json", "compare: committed baseline to diff against")
-	tolerance := fs.Float64("tolerance", 0.20, "compare: allowed fractional wall-throughput drop before failing")
-	strict := fs.Bool("strict", false, "compare: gate throughput even when the platform differs from the baseline's")
 	benchSel := fs.String("bench", "both", "workload: pairs, half, or both")
 	doPlot := fs.Bool("plot", false, "render figure2 as ASCII charts")
 	list := fs.Bool("list", false, "list registered queues and exit")
@@ -167,7 +102,6 @@ func main() {
 		nowork:  *nowork,
 		nopin:   *nopin,
 		csvPath: *csvPath,
-		outPath: *outPath,
 	}
 	if *paper {
 		o.ops = workload.DefaultOps
@@ -176,7 +110,6 @@ func main() {
 	}
 	o.queues = strings.Split(*queues, ",")
 	if *threads != "" {
-		o.threadsSet = true
 		for _, s := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n < 1 {
@@ -221,20 +154,6 @@ func main() {
 		runSingle(o)
 	case "latency":
 		runLatency(o)
-	case "json":
-		runJSON(o)
-	case "handles":
-		runHandles(o)
-	case "scq":
-		runSCQ(o, *tolerance)
-	case "coalesce":
-		runCoalesce(o, *tolerance)
-	case "topo":
-		runTopo(o, *tolerance)
-	case "trajectory":
-		runTrajectory(o)
-	case "compare":
-		runCompare(o, *baselinePath, *tolerance, *strict)
 	case "all":
 		runTable1()
 		runFigure2(o)
@@ -248,7 +167,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wfqbench {table1|figure2|table2|single|latency|json|handles|scq|coalesce|topo|trajectory|compare|all} [flags]  (see -h per subcommand)")
+	fmt.Fprintln(os.Stderr, "usage: wfqbench {table1|figure2|table2|single|latency|all} [flags]  (see -h per subcommand)")
 }
 
 func fatalf(format string, args ...any) {
@@ -315,7 +234,11 @@ func runFigure2(o options) {
 		header := append([]string{"threads"}, o.queues...)
 		fmt.Println(strings.Join(header, " | "))
 		fmt.Println(strings.Repeat("--- | ", len(header)-1) + "---")
-		o.csv("figure2," + k.String() + ",threads,batch," + strings.Join(o.queues, ",excl,wall per queue"))
+		csvHeader := []string{"figure2", k.String(), "threads", "batch"}
+		for _, qn := range o.queues {
+			csvHeader = append(csvHeader, qn+"_excl", qn+"_wall")
+		}
+		o.csv(strings.Join(csvHeader, ","))
 		series := make([]plot.Series, len(o.queues))
 		for i, qn := range o.queues {
 			series[i].Name = qn

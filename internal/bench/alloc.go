@@ -1,6 +1,7 @@
-// Steady-state allocation measurement for the zero-allocation gate: the
-// CI bench-smoke job fails when the core hot path allocates at steady
-// state (see cmd/wfqbench's json subcommand).
+// Steady-state allocation measurements behind the exact-zero allocation
+// gates in bench_test.go (TestSteadyStateAllocsZero and its SCQ,
+// coalescing, topology and handle-churn siblings), which fail when a queue
+// hot path allocates at steady state.
 package bench
 
 import (

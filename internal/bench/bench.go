@@ -38,9 +38,9 @@ type Config struct {
 	Threads  int
 	Ops      int // total operations per iteration (a pair counts as 2)
 	// Batch is the number of values per batched operation for the
-	// PairsBatched workload and the run length for RunGrouped (0 is
-	// normalized to 1; other workloads ignore it). Implementations without
-	// a native batch path are driven through qiface.WithBatchFallback.
+	// PairsBatched workload (0 is normalized to 1; other workloads ignore
+	// it). Implementations without a native batch path are driven through
+	// qiface.WithBatchFallback.
 	Batch     int
 	Trials    int  // paper: 10
 	Iters     int  // max iterations per trial; paper: 20
@@ -85,20 +85,6 @@ type Result struct {
 	Dequeues      uint64
 	EmptyDeqs     uint64            // dequeues that returned EMPTY (last trial)
 	QueueStats    map[string]uint64 // implementation counters, if exposed
-
-	// Memory-path metrics from runtime.MemStats deltas across a trial's
-	// measured iterations (the workers are the only mutators while a trial
-	// runs). AllocsPerOp and BytesPerOp are the MINIMUM per-op average over
-	// the trials: one-time warm-up allocations — segment growth to steady
-	// state, adapter arenas, scratch buffers — land in whichever trial pays
-	// them, while a genuinely allocation-free hot path reads exactly 0 in
-	// the trials that don't, so the minimum is the steady-state floor the
-	// zero-alloc gates assert on. GCPauseNS and GCCycles are last-trial
-	// totals.
-	AllocsPerOp float64
-	BytesPerOp  float64
-	GCPauseNS   uint64
-	GCCycles    uint32
 }
 
 // Mops returns the mean steady-state throughput in million operations per
@@ -129,9 +115,6 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Workload == workload.Churn && !factory.ChurnSafe {
-		return Result{}, fmt.Errorf("bench: workload %s needs Register/Release churn (qiface.Factory.ChurnSafe); %s does not declare it", cfg.Workload, cfg.Queue)
-	}
 	if cfg.Workload == workload.StalledConsumer {
 		return Result{}, fmt.Errorf("bench: workload %s is phase-asymmetric; drive it with bench.RunStall", cfg.Workload)
 	}
@@ -155,18 +138,6 @@ func Run(cfg Config) (Result, error) {
 		res.Dequeues = last.deqs
 		res.EmptyDeqs = last.empties
 		res.QueueStats = last.queueStats
-		if last.opsDone > 0 {
-			allocsPerOp := float64(last.allocs) / float64(last.opsDone)
-			bytesPerOp := float64(last.bytes) / float64(last.opsDone)
-			if trial == 0 || allocsPerOp < res.AllocsPerOp {
-				res.AllocsPerOp = allocsPerOp
-			}
-			if trial == 0 || bytesPerOp < res.BytesPerOp {
-				res.BytesPerOp = bytesPerOp
-			}
-		}
-		res.GCPauseNS = last.gcPauseNS
-		res.GCCycles = last.gcCycles
 		runtime.GC() // isolate trials, mirroring fresh process invocations
 	}
 	res.Interval = interval(res.TrialMops)
@@ -187,13 +158,6 @@ func interval(xs []float64) stats.Interval {
 type trialTotals struct {
 	enqs, deqs, empties uint64
 	queueStats          map[string]uint64
-
-	// Heap accounting over the trial's measured iterations.
-	opsDone   uint64 // operations actually executed (Ops × iterations run)
-	allocs    uint64 // heap allocations (MemStats.Mallocs delta)
-	bytes     uint64 // heap bytes allocated (MemStats.TotalAlloc delta)
-	gcPauseNS uint64 // stop-the-world pause total (PauseTotalNs delta)
-	gcCycles  uint32 // completed GC cycles (NumGC delta)
 }
 
 // workerCtl is one worker's accounting, shared with the trial driver.
@@ -236,28 +200,21 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 					return
 				}
 			}
-			var ops qiface.Ops
-			if cfg.Workload != workload.Churn {
-				o, err := q.Register()
-				if err != nil {
-					regErr <- err
-					return
-				}
-				// Guarantee batch closures even for adapters that predate
-				// them, so PairsBatched runs on every registered
-				// implementation; a no-op Flush likewise lets RunGrouped
-				// drive buffering and non-buffering queues identically.
-				ops = qiface.WithFlushFallback(qiface.WithBatchFallback(o))
+			o, err := q.Register()
+			if err != nil {
+				regErr <- err
+				return
 			}
-			// Churn workers register inside the iteration — holding a base
-			// registration would consume the very capacity the cycles churn.
+			// Guarantee batch closures even for adapters that predate them,
+			// so PairsBatched runs on every registered implementation.
+			ops := qiface.WithBatchFallback(o)
 			regErr <- nil
 			ready <- struct{}{}
 			rng := workload.NewRNG(plans[w].Seed)
 			for it := 0; it < cfg.Iters; it++ {
 				<-iterStart[it]
 				if !stop.Load() {
-					runWorkerIteration(cfg, plans[w], &rng, q, ops, ctls[w])
+					runWorkerIteration(cfg, plans[w], &rng, ops, ctls[w])
 				}
 				iterDone[it].Done()
 			}
@@ -271,19 +228,6 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 	for w := 0; w < cfg.Threads; w++ {
 		<-ready
 	}
-
-	// Memory baseline: workers are registered and parked on the first
-	// iteration barrier, so every allocation from here to the end of the
-	// iteration loop is queue traffic (plus harness noise measured in
-	// bytes, amortized over millions of operations). The first iteration is
-	// additionally treated as memory warm-up when more follow (the window is
-	// rebased after it): a fresh queue faults in one-time state on its first
-	// traversal — segment chains, adapter arena backing — whose handful of
-	// allocations would read as a spurious ~1e-5 allocs/op and blur the
-	// exact-zero floor the allocation gates assert on.
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	memWarm := 0 // leading iterations excluded from the memory window
 
 	mops := make([]float64, 0, cfg.Iters)
 	wallMops := make([]float64, 0, cfg.Iters)
@@ -310,11 +254,6 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 		mops = append(mops, float64(cfg.Ops)/float64(effective)*1e3)
 		wallMops = append(wallMops, float64(cfg.Ops)/float64(wallNS)*1e3)
 
-		if it == 0 && cfg.Iters > 1 {
-			runtime.ReadMemStats(&m0)
-			memWarm = 1
-		}
-
 		// Early exit once steady state is reached, like the paper's "at
 		// most 20 iterations".
 		if _, _, ok := stats.SteadyState(mops); ok && it >= stats.SteadyWindow-1 {
@@ -331,17 +270,6 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 		}
 	}
 
-	runtime.ReadMemStats(&m1)
-	memIters := len(mops) - memWarm
-	if memIters < 1 {
-		memIters = 1
-	}
-	totals.opsDone = uint64(cfg.Ops) * uint64(memIters)
-	totals.allocs = m1.Mallocs - m0.Mallocs
-	totals.bytes = m1.TotalAlloc - m0.TotalAlloc
-	totals.gcPauseNS = m1.PauseTotalNs - m0.PauseTotalNs
-	totals.gcCycles = m1.NumGC - m0.NumGC
-
 	for _, c := range ctls {
 		totals.enqs += atomic.LoadUint64(&c.enqs)
 		totals.deqs += atomic.LoadUint64(&c.deqs)
@@ -353,10 +281,8 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 	return mops, wallMops, totals, nil
 }
 
-// runWorkerIteration executes one worker's share of one iteration. q is only
-// used by the Churn workload, whose cycles register and release their own
-// handles; every other workload drives the pre-registered ops.
-func runWorkerIteration(cfg Config, plan workload.Plan, rng *workload.RNG, q qiface.Queue, ops qiface.Ops, ctl *workerCtl) {
+// runWorkerIteration executes one worker's share of one iteration.
+func runWorkerIteration(cfg Config, plan workload.Plan, rng *workload.RNG, ops qiface.Ops, ctl *workerCtl) {
 	var workNS int64
 	var enqs, deqs, empty uint64
 	switch cfg.Workload {
@@ -408,63 +334,6 @@ func runWorkerIteration(cfg Config, plan workload.Plan, rng *workload.RNG, q qif
 			empty += uint64(b - got)
 			deqs += uint64(b)
 			workNS += int64(workload.Work(rng, cfg.WorkMinNS, cfg.WorkMaxNS))
-		}
-	case workload.RunGrouped:
-		// A run of B scalar enqueues, a flush (the producer-goes-idle
-		// handoff), then a run of B scalar dequeues. One value per call —
-		// the shape operation coalescing amortizes — without the lockstep
-		// of Pairs that degenerates any window to 1.
-		b := cfg.Batch
-		if b < 1 {
-			b = 1
-		}
-		rounds := plan.Ops / (2 * b)
-		for i := 0; i < rounds; i++ {
-			for j := 0; j < b; j++ {
-				ops.Enqueue(uint64(i*b+j) + 1)
-				enqs++
-				workNS += int64(workload.Work(rng, cfg.WorkMinNS, cfg.WorkMaxNS))
-			}
-			ops.Flush()
-			for j := 0; j < b; j++ {
-				if _, ok := ops.Dequeue(); !ok {
-					empty++
-				}
-				deqs++
-				workNS += int64(workload.Work(rng, cfg.WorkMinNS, cfg.WorkMaxNS))
-			}
-		}
-	case workload.Churn:
-		// Register → ChurnPairs pairs → Release, repeated. The lifecycle cost
-		// sits inside the measured cycle, which is the point: this is the
-		// workload where a mutex-guarded Register serializes all threads and
-		// the lock-free pool does not.
-		cycles := plan.Ops / (2 * workload.ChurnPairs)
-		if cycles < 1 {
-			cycles = 1
-		}
-		for c := 0; c < cycles; c++ {
-			cops, err := q.Register()
-			if err != nil {
-				// Capacity equals the worker count and each worker holds at
-				// most one handle, so a denial here is a lifecycle bug (a
-				// Release that failed to return its slot), not contention.
-				panic(fmt.Sprintf("bench: churn Register cycle %d: %v", c, err))
-			}
-			if cops.Release == nil {
-				panic("bench: churn workload on a queue whose Ops lack Release")
-			}
-			for i := 0; i < workload.ChurnPairs; i++ {
-				cops.Enqueue(uint64(i) + 1)
-				enqs++
-				workNS += int64(workload.Work(rng, cfg.WorkMinNS, cfg.WorkMaxNS))
-				if _, ok := cops.Dequeue(); !ok {
-					empty++
-				}
-				deqs++
-				workNS += int64(workload.Work(rng, cfg.WorkMinNS, cfg.WorkMaxNS))
-			}
-			cops.Release()
 		}
 	}
 	atomic.AddInt64(&ctl.workNS, workNS)

@@ -215,55 +215,6 @@ func TestRunPairsBatchedStats(t *testing.T) {
 	}
 }
 
-func TestRunMemoryMetrics(t *testing.T) {
-	// msqueue allocates a node per enqueue, so its allocs/op must be
-	// clearly positive — a sanity check that the MemStats plumbing
-	// attributes traffic to operations at all.
-	res, err := Run(smallConfig("msqueue", workload.Pairs, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AllocsPerOp <= 0 {
-		t.Errorf("msqueue allocs/op = %v, want > 0 (it allocates a node per enqueue)", res.AllocsPerOp)
-	}
-	if res.BytesPerOp <= 0 {
-		t.Errorf("msqueue bytes/op = %v, want > 0", res.BytesPerOp)
-	}
-
-	// The recycling wait-free queue must be near-zero: harness noise only.
-	// (-race instrumentation allocates, so exactness only holds without it.)
-	if !raceEnabled {
-		res, err = Run(smallConfig("wf-10-recycle", workload.Pairs, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.AllocsPerOp > 0.01 {
-			t.Errorf("wf-10-recycle allocs/op = %v, want ~0", res.AllocsPerOp)
-		}
-	}
-}
-
-// TestRunChurn drives the handle-churn workload over the lock-free queues
-// and the mutex-registration baseline, and checks that a queue without the
-// churn contract is rejected up front.
-func TestRunChurn(t *testing.T) {
-	for _, q := range []string{"wf-10", "wf-sharded"} {
-		res, err := Run(smallConfig(q, workload.Churn, 2))
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if res.Mops() <= 0 {
-			t.Errorf("%s: nonpositive throughput", q)
-		}
-		if res.Enqueues == 0 || res.Enqueues != res.Dequeues {
-			t.Errorf("%s: accounting enq=%d deq=%d", q, res.Enqueues, res.Dequeues)
-		}
-	}
-	if _, err := Run(smallConfig("lcrq", workload.Churn, 2)); err == nil {
-		t.Error("churn workload on a non-ChurnSafe queue should error")
-	}
-}
-
 func TestChurnAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
@@ -408,7 +359,7 @@ func TestQueueAllocsAttribution(t *testing.T) {
 }
 
 // TestCoalesceSteadyStateAllocsZero is the coalescing zero-allocation gate
-// at every window the coalesce subcommand sweeps.
+// at windows 1 (passthrough), 4, 16 (the wf-coalesce default) and 64.
 func TestCoalesceSteadyStateAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
@@ -426,9 +377,6 @@ func TestCoalesceSteadyStateAllocsZero(t *testing.T) {
 // placement, distance-ordered sweeps, and the parking ladder must allocate
 // nothing at steady state.
 func TestTopoSteadyStateAllocsZero(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	st := TopoSteadyStateAllocs(50_000)
 	if st.AllocsPerOp != 0 {
 		t.Fatalf("topology hot path allocates %.6f objects/op at steady state, want 0", st.AllocsPerOp)

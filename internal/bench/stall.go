@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -32,9 +29,9 @@ type StallConfig struct {
 	Seed    uint64
 }
 
-// DefaultStallConfig returns the stall parameters used by the bench-scq
-// gate: enough attempts that an unbounded queue's linear growth dwarfs any
-// bounded queue's fixed retention by orders of magnitude.
+// DefaultStallConfig returns the default stall parameters: enough attempts
+// that an unbounded queue's linear growth dwarfs any bounded queue's fixed
+// retention by orders of magnitude.
 func DefaultStallConfig(queue string) StallConfig {
 	return StallConfig{Queue: queue, Producers: 2, StallOps: 200_000, WarmOps: 2_048, Seed: 0x5EED}
 }
@@ -51,33 +48,12 @@ type StallResult struct {
 
 	// Live-heap retention: runtime.MemStats.HeapAlloc after a forced GC,
 	// before and at the peak of the stall. RetainedBytes is the growth —
-	// the memory the queue holds on behalf of the parked consumer. This is
-	// the gated number: GC-settled live heap is deterministic where RSS
-	// depends on allocator behavior.
+	// the memory the queue holds on behalf of the parked consumer, and the
+	// number TestRunStall bounds: GC-settled live heap is deterministic
+	// where RSS depends on allocator behavior.
 	BaselineHeap  uint64
 	StalledHeap   uint64
 	RetainedBytes uint64
-
-	// Process RSS (/proc/self/status VmRSS) at the same two points,
-	// informational: 0 when the platform does not expose it, and never
-	// gated because the Go runtime does not promptly return freed pages.
-	BaselineRSS uint64
-	StalledRSS  uint64
-}
-
-// RetainedPerOp returns the retained bytes amortized over the accepted
-// stall traffic — the slope of the growth curve an unbounded queue shows.
-func (r StallResult) RetainedPerOp() float64 {
-	if r.Accepted == 0 {
-		return 0
-	}
-	return float64(r.RetainedBytes) / float64(r.Accepted)
-}
-
-func (r StallResult) String() string {
-	return fmt.Sprintf("%s stall P=%d ops=%d: accepted=%d rejected=%d retained=%dB",
-		r.Config.Queue, r.Config.Producers, r.Config.StallOps,
-		r.Accepted, r.Rejected, r.RetainedBytes)
 }
 
 // RunStall executes the stalled-consumer adversary against one queue:
@@ -137,7 +113,6 @@ func RunStall(cfg StallConfig) (StallResult, error) {
 	}
 
 	res.BaselineHeap = settledHeap()
-	res.BaselineRSS = readVmRSS()
 
 	// Stall: the consumer parks; producers hammer TryEnqueue.
 	var accepted, rejected atomic.Uint64
@@ -163,7 +138,6 @@ func RunStall(cfg StallConfig) (StallResult, error) {
 	res.Rejected = rejected.Load()
 
 	res.StalledHeap = settledHeap()
-	res.StalledRSS = readVmRSS()
 	if res.StalledHeap > res.BaselineHeap {
 		res.RetainedBytes = res.StalledHeap - res.BaselineHeap
 	}
@@ -199,30 +173,4 @@ func settledHeap() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
-}
-
-// readVmRSS returns the process resident set size in bytes from
-// /proc/self/status, or 0 when unavailable (non-Linux platforms).
-func readVmRSS() uint64 {
-	b, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	i := bytes.Index(b, []byte("VmRSS:"))
-	if i < 0 {
-		return 0
-	}
-	line := b[i+len("VmRSS:"):]
-	if j := bytes.IndexByte(line, '\n'); j >= 0 {
-		line = line[:j]
-	}
-	fields := bytes.Fields(line)
-	if len(fields) < 1 {
-		return 0
-	}
-	kb, err := strconv.ParseUint(string(fields[0]), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return kb << 10
 }

@@ -30,23 +30,6 @@ const (
 	// a DequeueBatch of B, so one iteration counts as 2B operations. With
 	// B=1 it degenerates to Pairs.
 	PairsBatched
-	// Churn is the handle-lifecycle workload: each thread repeatedly
-	// registers a fresh handle, runs ChurnPairs enqueue–dequeue pairs
-	// through it (with the usual inter-operation work), and releases it —
-	// the short-lived-goroutine pattern. Each cycle counts as
-	// 2×ChurnPairs operations, so throughput numbers embed the
-	// Register/Release cost; the workload only runs against queues whose
-	// Ops carry a Release (qiface.Factory.ChurnSafe).
-	Churn
-	// RunGrouped is the coalescing-shaped workload: each round is a run of
-	// B scalar enqueues (with the usual inter-operation work), a Flush, then
-	// a run of B scalar dequeues. Unlike PairsBatched the operations arrive
-	// one value at a time — exactly the caller an operation-coalescing
-	// window accelerates transparently — while the strict lockstep of Pairs
-	// (enqueue, dequeue, enqueue, ...) is avoided, since lockstep degenerates
-	// any window to 1 (the dequeue's flush-before-EMPTY publishes every
-	// single buffered value immediately). A round counts as 2B operations.
-	RunGrouped
 	// StalledConsumer is the bounded-memory adversary: producers keep
 	// offering values while the consumer parks for a whole phase, then
 	// resumes and drains. An unbounded queue buffers the entire phase, so
@@ -58,12 +41,6 @@ const (
 	StalledConsumer
 )
 
-// ChurnPairs is how many enqueue–dequeue pairs a Churn cycle performs
-// between Register and Release. Small enough that lifecycle cost is a
-// visible fraction of each cycle (the point of the workload), large enough
-// that the cycle still measures a queue, not only its bookkeeping.
-const ChurnPairs = 16
-
 // String returns the workload's conventional name.
 func (k Kind) String() string {
 	switch k {
@@ -73,27 +50,11 @@ func (k Kind) String() string {
 		return "50%-enqueues"
 	case PairsBatched:
 		return "enqueue-dequeue-pairs-batched"
-	case Churn:
-		return "handle-churn-pairs"
-	case RunGrouped:
-		return "run-grouped-pairs"
 	case StalledConsumer:
 		return "stalled-consumer"
 	default:
 		return "unknown"
 	}
-}
-
-// ParseKind maps a conventional workload name (the String() form) back to
-// its Kind, for harnesses that round-trip workloads through recorded
-// baseline documents.
-func ParseKind(s string) (Kind, bool) {
-	for _, k := range []Kind{Pairs, HalfHalf, PairsBatched, Churn, RunGrouped, StalledConsumer} {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // DefaultOps is the paper's operation count: 10⁷ operations (for Pairs,
