@@ -64,13 +64,11 @@ stress: | $(ARTIFACTS)
 # Long validation across every implementation, plus one batched pass over
 # the wait-free queue's native k-cell reservation path.
 soak: | $(ARTIFACTS)
-	for q in wf-10 wf-0 lcrq msqueue ccqueue kpqueue simqueue of chan wf-sharded wf-sharded-1 wf-sharded-8; do \
+	for q in wf-10 wf-0 lcrq msqueue ccqueue kpqueue simqueue of chan wf-sharded wf-sharded-1; do \
 		$(GO) run ./cmd/wfqstress -queue $$q -threads 8 -duration 10s || exit 1; \
 	done 2>&1 | tee $(ARTIFACTS)/soak_output.txt
 	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -batch 8 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
 	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -coalesce 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
-	$(GO) run ./cmd/wfqstress -queue wf-sharded -threads 8 -duration 10s -coalesce 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
-	$(GO) run ./cmd/wfqstress -topo -churn -threads 8 -duration 10s 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
 
 # Regenerate the paper's tables and figures (quick parameters; add
 # WFQ_FLAGS=-paper for the full methodology).

@@ -220,13 +220,13 @@ func BenchmarkAblationRecycling(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLanes sweeps the sharded queue's lane count against the
-// single-queue wf-10 under the pairs workload (EXPERIMENTS.md lane-scaling
-// section): on a many-core host the multi-lane variants should pull away
-// from wf-10 as threads grow; on one hardware thread the series stay
-// within noise of each other.
+// BenchmarkShardedLanes compares the sharded queue (one lane, and its
+// default lane per CPU) against the single-queue wf-10 under the pairs
+// workload (EXPERIMENTS.md sharded section): on a many-core host the
+// multi-lane queue should pull away from wf-10 as threads grow; on one
+// hardware thread the series stay within noise of each other.
 func BenchmarkShardedLanes(b *testing.B) {
-	for _, qn := range []string{"wf-10", "wf-sharded-1", "wf-sharded", "wf-sharded-8", "wf-sharded-rr"} {
+	for _, qn := range []string{"wf-10", "wf-sharded-1", "wf-sharded"} {
 		for _, t := range benchThreads {
 			b.Run(fmt.Sprintf("%s/T=%d", qn, t), func(b *testing.B) {
 				runQueueBench(b, qn, workload.Pairs, t)

@@ -15,26 +15,25 @@
 //	         queues reject with backpressure; unbounded queues buffer the
 //	         whole phase), so after every drain the tool can verify that
 //	         exactly the accepted values came back — no loss, no
-//	         duplication — and, on ordering queues, that each producer's
-//	         values stayed contiguous and in order across the stall.
+//	         duplication — and that each producer's values stayed
+//	         contiguous and in order across the stall.
 //
 // Usage:
 //
 //	wfqstress [-queue wf-10] [-threads 8] [-duration 10s] [-mode stress|lincheck|stall]
-//	          [-batch 1] [-seed 1] [-coalesce] [-churn] [-topo]
+//	          [-batch 1] [-seed 1] [-coalesce] [-churn]
 //
 // With -batch k > 1 both modes drive the queue through the batched
 // operations (EnqueueBatch/DequeueBatch): the wait-free queue's native
 // single-FAA k-cell reservation, or the single-op fallback for baselines.
 //
 // -coalesce swaps the selected queue for its operation-coalescing variant
-// (wf-10 → wf-coalesce, wf-sharded → wf-sharded-coalesce, wf-scq →
-// wf-scq-coalesce) and tightens the stress audit to exact accounting:
-// producers flush their windows when idle (before parking on backpressure)
-// and once after their last enqueue, so every produced value must come back
-// — the run fails on any loss or duplication, not just duplication, and the
-// per-producer FIFO check audits that coalesced runs never reorder within a
-// producer. Stress mode only: lincheck needs window 1 (run it directly with
+// (wf-10 → wf-coalesce, wf-scq → wf-scq-coalesce) and tightens the stress
+// audit to exact accounting: producers flush their windows when idle
+// (before parking on backpressure) and once after their last enqueue, so
+// every produced value must come back — the run fails on any loss or
+// duplication, not just duplication, and the per-producer FIFO check
+// audits that coalesced runs never reorder within a producer. Stress mode only: lincheck needs window 1 (run it directly with
 // -queue wf-coalesce-w1), and stall-mode accounting assumes TryEnqueue
 // visibility, which buffering defers.
 //
@@ -46,20 +45,6 @@
 // queues: under -churn those are demoted to loss/duplication accounting
 // (full-FIFO queues keep their order checks — a single linearizable queue
 // orders values no matter which handle enqueued them).
-//
-// -topo swaps the selected queue for wf-sharded-topo built over a fake
-// 16-CPU topology snapshot whose CPU source lies for most of the run: it
-// cycles through shrunk machines (hot-unplugged CPUs), grown machines
-// reporting ids the snapshot has never heard of, and getcpu failures, while
-// registrations — continuous under -churn — re-home handles through every
-// phase. The audit is the placement contract: a vanished CPU must degrade
-// to round-robin placement, never index a vanished lane or crash, with the
-// usual loss/duplication accounting on top. Stress mode only.
-//
-// Queues that declare no cross-handle ordering (wf-sharded-rr's round-robin
-// dispatch trades per-producer FIFO for balance) are still
-// stress-checkable: order validation is skipped and the run verifies loss
-// and duplication only.
 package main
 
 import (
@@ -86,28 +71,14 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	coalesce := flag.Bool("coalesce", false, "stress: use the queue's operation-coalescing variant with flush-on-idle producers and exact loss/duplication accounting")
 	churn := flag.Bool("churn", false, "stress: workers periodically Release and re-Register their handles (needs a ChurnSafe queue)")
-	topo := flag.Bool("topo", false, "stress: wf-sharded-topo over a fake topology whose CPU source shrinks, grows and fails mid-run")
 	flag.Parse()
 
 	name := *queue
-	if *topo && *coalesce {
-		fatalf("-topo selects the topology-aware variant; it conflicts with -coalesce")
-	}
 	if *coalesce {
 		if *mode != "stress" {
 			fatalf("-coalesce is a stress-mode audit (for lincheck use -queue wf-coalesce-w1 directly)")
 		}
 		name = coalesceVariant(name)
-	}
-	var fault *topoFault
-	newQ := func(capacity int) (qiface.Queue, error) { return registry.NewChecked(name, capacity) }
-	if *topo {
-		if *mode != "stress" {
-			fatalf("-topo is a stress-mode fault injection")
-		}
-		name = topoVariant(name)
-		fault = &topoFault{}
-		newQ = fault.newQueue
 	}
 	if !registry.IsRealQueue(name) {
 		fatalf("%s is a microbenchmark, not a queue", name)
@@ -116,35 +87,28 @@ func main() {
 		fatalf("bad -batch %d (must be >= 1)", *batch)
 	}
 	// Each mode checks an ordering property it can only demand from queues
-	// that actually promise it (Factory.Ordering). Stress degrades
-	// gracefully: on OrderNone queues it checks loss/duplication only.
+	// that actually promise it (Factory.Ordering).
 	ordering := registry.MustLookup(name).Ordering
 	switch *mode {
 	case "stress":
-		checkOrder := ordering != qiface.OrderNone
-		if !checkOrder {
-			fmt.Printf("stress: %s declares %s ordering; skipping FIFO checks (loss/duplication only)\n", name, ordering)
-		}
+		checkOrder := true
 		if *churn {
 			if !registry.MustLookup(name).ChurnSafe {
 				fatalf("%s does not declare ChurnSafe; -churn needs lock-free Register/Release (try wf-10 or wf-sharded)", name)
 			}
-			if checkOrder && ordering != qiface.OrderFIFO {
+			if ordering != qiface.OrderFIFO {
 				fmt.Printf("stress: -churn re-homes handles across re-registration; demoting %s's %s order to loss/duplication checks\n", name, ordering)
 				checkOrder = false
 			}
 		}
-		runStress(name, newQ, *threads, *duration, *batch, checkOrder, *churn, *coalesce)
-		if fault != nil {
-			fault.report()
-		}
+		runStress(name, *threads, *duration, *batch, checkOrder, *churn, *coalesce)
 	case "lincheck":
 		if ordering != qiface.OrderFIFO {
 			fatalf("%s declares %s order; lincheck requires full FIFO linearizability (try wf-sharded-1)", name, ordering)
 		}
 		runLincheck(name, *duration, *batch, *seed)
 	case "stall":
-		runStall(name, *threads, *duration, ordering != qiface.OrderNone)
+		runStall(name, *threads, *duration)
 	default:
 		fatalf("unknown mode %q", *mode)
 	}
@@ -162,14 +126,12 @@ func coalesceVariant(name string) string {
 	switch name {
 	case "wf-10", "wf-coalesce":
 		return "wf-coalesce"
-	case "wf-sharded", "wf-sharded-coalesce":
-		return "wf-sharded-coalesce"
 	case "wf-scq", "wf-scq-coalesce":
 		return "wf-scq-coalesce"
 	case "wf-coalesce-w1", "wf-coalesce-w4", "wf-coalesce-w64":
 		return name
 	}
-	fatalf("%s has no operation-coalescing variant (have: wf-10, wf-sharded, wf-scq)", name)
+	fatalf("%s has no operation-coalescing variant (have: wf-10, wf-scq)", name)
 	return ""
 }
 
@@ -193,7 +155,7 @@ func reRegister(q qiface.Queue, ops qiface.Ops) qiface.Ops {
 	return qiface.WithFlushFallback(qiface.WithBatchFallback(next))
 }
 
-func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d time.Duration, batch int, checkOrder, churn, coalesce bool) {
+func runStress(name string, threads int, d time.Duration, batch int, checkOrder, churn, coalesce bool) {
 	if threads < 2 {
 		threads = 2
 	}
@@ -201,7 +163,7 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 	consumers := threads - producers
 	// +1 handle for the drain helper; checked adapters box every value so
 	// the accounting below is exact regardless of scheduling.
-	q, err := newQ(threads + 1)
+	q, err := registry.NewChecked(name, threads+1)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -359,7 +321,7 @@ func runStress(name string, newQ func(int) (qiface.Queue, error), threads int, d
 	}
 	orderNote := fmt.Sprintf("order violations: %d", violations.Load())
 	if !checkOrder {
-		orderNote = "order unchecked (queue declares none)"
+		orderNote = "order unchecked (per-producer order does not span re-registration)"
 	}
 	fmt.Printf("produced %d, consumed %d (%.1f Mops/s), %s\n",
 		totalProduced, totalConsumed,
@@ -398,8 +360,8 @@ const stallAttempts = 20000
 
 // runStall repeatedly parks the consumer while producers push, then drains
 // and audits: every cycle must recover exactly the values accepted during
-// the stall, in per-producer order when the queue promises one.
-func runStall(name string, threads int, d time.Duration, checkOrder bool) {
+// the stall, in per-producer order.
+func runStall(name string, threads int, d time.Duration) {
 	producers := threads - 1
 	if producers < 1 {
 		producers = 1
@@ -473,12 +435,9 @@ func runStall(name string, threads int, d time.Duration, checkOrder bool) {
 			if p >= producers {
 				fatalf("cycle %d: drained alien value %#x", cycles, v)
 			}
-			if checkOrder && s != lastSeen[p]+1 {
+			if s != lastSeen[p]+1 {
 				fatalf("cycle %d: producer %d jumped %d -> %d (loss or reorder across the stall)",
 					cycles, p, lastSeen[p], s)
-			}
-			if !checkOrder && s <= lastSeen[p] {
-				fatalf("cycle %d: producer %d value %d seen again (duplication)", cycles, p, s)
 			}
 			lastSeen[p] = s
 			drainedTotal++
@@ -497,12 +456,8 @@ func runStall(name string, threads int, d time.Duration, checkOrder bool) {
 	if consumer.Release != nil {
 		consumer.Release()
 	}
-	orderNote := "per-producer order held across every stall"
-	if !checkOrder {
-		orderNote = "order unchecked (queue declares none)"
-	}
-	fmt.Printf("%d cycles: accepted %d, rejected %d (backpressure), drained %d; %s\n",
-		cycles, acceptedTotal, rejectedTotal, drainedTotal, orderNote)
+	fmt.Printf("%d cycles: accepted %d, rejected %d (backpressure), drained %d; per-producer order held across every stall\n",
+		cycles, acceptedTotal, rejectedTotal, drainedTotal)
 	fmt.Println("OK")
 }
 

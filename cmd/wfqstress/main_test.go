@@ -88,20 +88,6 @@ func TestLincheckModeBatched(t *testing.T) {
 	}
 }
 
-// wf-sharded-rr declares no cross-handle ordering: stress must accept it,
-// skip FIFO checks, and still verify loss/duplication.
-func TestStressOrderNoneAllowed(t *testing.T) {
-	out, err := runCLI(t, "-queue", "wf-sharded-rr", "-threads", "4", "-duration", "300ms")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"wf-sharded-rr", "skipping FIFO checks", "order unchecked", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("OrderNone stress output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // -churn soaks Release/re-Register under load: full-FIFO queues keep their
 // order checks across the lifecycle boundary, per-producer queues are
 // demoted to loss/duplication accounting, and churn-incapable queues are
@@ -146,17 +132,6 @@ func TestStressCoalesce(t *testing.T) {
 			t.Errorf("coalesce stress output missing %q:\n%s", want, out)
 		}
 	}
-
-	// The sharded variant coalesces above lane dispatch; the audit is the same.
-	out, err = runCLI(t, "-queue", "wf-sharded", "-threads", "4", "-duration", "300ms", "-coalesce")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"wf-sharded-coalesce", "exact recovery", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sharded coalesce stress output missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestRejectsCoalesceMisuse(t *testing.T) {
@@ -165,46 +140,6 @@ func TestRejectsCoalesceMisuse(t *testing.T) {
 	}
 	if out, err := runCLI(t, "-mode", "lincheck", "-coalesce", "-duration", "100ms"); err == nil {
 		t.Fatalf("-coalesce outside stress mode should fail:\n%s", out)
-	}
-}
-
-// -topo drives wf-sharded-topo over the shrinking fake topology: with
-// -churn the continuous re-registrations sweep every fault phase (shrunk,
-// grown, failing CPU source) and the run must stay loss/dup-free — the
-// placement contract is that a vanished CPU degrades to round-robin, never
-// an out-of-range lane index. Without -churn the per-producer FIFO check
-// stays on: a topo home assignment is sticky, so order must hold.
-func TestStressTopoFault(t *testing.T) {
-	out, err := runCLI(t, "-threads", "4", "-duration", "500ms", "-topo", "-churn")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"wf-sharded-topo", "fault source answered", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("topo fault stress output missing %q:\n%s", want, out)
-		}
-	}
-
-	out, err = runCLI(t, "-threads", "4", "-duration", "300ms", "-topo")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"order violations: 0", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("topo stress output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRejectsTopoMisuse(t *testing.T) {
-	if out, err := runCLI(t, "-queue", "msqueue", "-topo", "-duration", "100ms"); err == nil {
-		t.Fatalf("msqueue has no topology-aware variant, should fail:\n%s", out)
-	}
-	if out, err := runCLI(t, "-mode", "lincheck", "-topo", "-duration", "100ms"); err == nil {
-		t.Fatalf("-topo outside stress mode should fail:\n%s", out)
-	}
-	if out, err := runCLI(t, "-topo", "-coalesce", "-duration", "100ms"); err == nil {
-		t.Fatalf("-topo with -coalesce should fail:\n%s", out)
 	}
 }
 

@@ -40,7 +40,7 @@ func Supported() bool { return true }
 // sysGetcpu is the getcpu(2) syscall number for this architecture. Go's
 // syscall package defines SYS_GETCPU for most linux ports but not amd64,
 // so the table is carried here (0 = architecture not covered; CurrentCPU
-// then reports no CPU and callers fall back to round-robin homing).
+// then reports no CPU).
 var sysGetcpu = map[string]uintptr{
 	"386":      318,
 	"amd64":    309,
@@ -61,9 +61,7 @@ var sysGetcpu = map[string]uintptr{
 // the syscall or it does not — the answer cannot change within a process
 // lifetime — so the first failure (ENOSYS on an old kernel, a seccomp
 // EPERM, ...) makes every later CurrentCPU call return not-ok without
-// re-issuing a doomed syscall. CurrentCPU sits on the sharded queue's
-// registration/dispatch path, so before this latch an unsupported kernel
-// paid the full failed-syscall round trip on every dispatch.
+// re-issuing a doomed syscall.
 var getcpuBroken atomic.Bool
 
 // CurrentCPU returns the CPU the calling thread is executing on, via the
@@ -71,17 +69,14 @@ var getcpuBroken atomic.Bool
 // architecture is not in the table; the failure is cached, so only the first
 // call pays for discovering it. The result is only a hint unless the thread
 // is pinned: the scheduler may migrate the thread immediately after the
-// syscall returns. The sharded queue uses it to home a pinned worker's
-// handle on the lane matching its CPU.
+// syscall returns.
 //
 // Performance note: the kernel exports getcpu through the vDSO
 // (__vdso_getcpu), which C callers reach in a few nanoseconds without a
 // kernel entry. Go's runtime patches in vDSO fast paths only for
 // clock_gettime/gettimeofday, and syscall.RawSyscall always takes the real
 // SYSCALL instruction, so this call costs a genuine user→kernel round trip
-// (~50ns). That is acceptable on its call sites — handle registration and
-// per-CPU homing decisions, not the per-operation hot path — and is why
-// CurrentCPU must not be called per enqueue/dequeue.
+// (~50ns), which is why CurrentCPU must not be called per enqueue/dequeue.
 func CurrentCPU() (cpu int, ok bool) {
 	if sysGetcpu == 0 || getcpuBroken.Load() {
 		return 0, false

@@ -9,6 +9,5 @@ func Pin(cpu int) error { return nil }
 // Supported reports whether thread pinning works on this platform.
 func Supported() bool { return false }
 
-// CurrentCPU reports no CPU on platforms without getcpu; callers fall back
-// to round-robin lane homing.
+// CurrentCPU reports no CPU on platforms without getcpu.
 func CurrentCPU() (cpu int, ok bool) { return 0, false }

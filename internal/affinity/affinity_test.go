@@ -60,3 +60,19 @@ func TestPinCompactEmptyOrder(t *testing.T) {
 		t.Errorf("empty order should be a no-op, got %v", err)
 	}
 }
+
+// TestCurrentCPUStable exercises the cached-failure latch: repeated calls
+// must agree on ok (the latch means a failure can never flip back to
+// success) and never report a negative CPU.
+func TestCurrentCPUStable(t *testing.T) {
+	_, ok1 := CurrentCPU()
+	for i := 0; i < 100; i++ {
+		cpu, ok := CurrentCPU()
+		if ok != ok1 {
+			t.Fatalf("CurrentCPU ok flipped: first %v then %v", ok1, ok)
+		}
+		if ok && cpu < 0 {
+			t.Fatalf("negative cpu %d", cpu)
+		}
+	}
+}

@@ -104,16 +104,15 @@ func RepoConfig(root string) Config {
 			PkgCCQueue: TierLockFree,
 		},
 		// hazard: Protect/Retire receive atomic word addresses from the
-		// lock-free queues; affinity: CurrentCPU sits on the sharded
-		// dispatch path.
-		Extra: []string{"wfqueue/internal/hazard", "wfqueue/internal/affinity"},
+		// lock-free queues.
+		Extra: []string{"wfqueue/internal/hazard"},
 		// The handle lifecycle (AcquireHandle/Register/Release over the
 		// generation-tagged free lists, DESIGN.md §6) is screened alongside
 		// the queue operations: it is documented lock-free, so nothing
 		// reachable from it may park a goroutine either.
 		HotPaths: map[string][]string{
 			PkgCore:    append([]string{"AcquireHandle", "Register", "Release"}, hot...),
-			PkgSharded: append([]string{"Register", "RegisterOnCurrentCPU", "RegisterOnLane", "Release", "TryEnqueue"}, hot...),
+			PkgSharded: append([]string{"Register", "RegisterOnLane", "Release"}, hot...),
 			// The bounded ring's hot quartet plus its lock-free lifecycle:
 			// nothing reachable from any of them may park a goroutine
 			// (scqEnqueue's backpressure spin yields with Gosched, which the
@@ -133,8 +132,8 @@ func RepoConfig(root string) Config {
 				"cleanup", "update", "verify", "freeSegments",
 				"recycleSegment", "push", "pop", "popNode", "pushNode",
 				"sid",
-				// helpEnq's poll pause, and the parking ladder's clamped spin
-				// that runs inside empty sharded dequeues.
+				// helpEnq's poll pause, and the exported clamped spin that
+				// idle-polling consumers wait with between EMPTY dequeues.
 				"pause", "Pause",
 				// Handle lifecycle: acquisition and release work over the
 				// preallocated handle array through a tagged free list and
@@ -146,20 +145,12 @@ func RepoConfig(root string) Config {
 			// calls and must stay allocation-free themselves.
 			PkgSharded: {
 				"Enqueue", "Dequeue", "EnqueueBatch", "DequeueBatch",
-				"pickLane", "stealFrom", "sweepLane",
-				// Topology dispatch and the parking ladder: precomputed-table
-				// lookups and EWMA arithmetic on the dequeue EMPTY path.
-				"homeLaneFor", "dequeueEmpty", "batchPark",
-				"parkNote", "parkEmpty",
+				"stealFrom", "sweepLane",
 				// Shell-pool lifecycle. RegisterOnLane is deliberately absent:
 				// its error paths wrap with fmt.Errorf (cold, sanctioned);
 				// the steady-state machinery it drives is what must stay
 				// allocation-free.
 				"Release", "popShell", "pushShell",
-				// SCQ lane mode: the bounded dispatch paths, including the
-				// backpressure spin. registerSCQ is cold (rollback path).
-				"TryEnqueue", "scqEnqueue", "scqDequeue", "scqStealFrom",
-				"scqEnqueueBatch", "scqDequeueBatch",
 			},
 			// The SCQ ring: TryEnqueue/Dequeue and everything they drive —
 			// ring ticket claims, the helping layer, the value handoff, the
@@ -185,8 +176,7 @@ func RepoConfig(root string) Config {
 			},
 			PkgSharded: {
 				"Enqueue", "Dequeue", "EnqueueBatch", "DequeueBatch",
-				"TryEnqueue", "CoalescedEnqueue", "CoalescedDequeue", "Flush",
-				"Register", "RegisterOnCurrentCPU", "RegisterOnLane", "Release",
+				"Register", "RegisterOnLane", "Release",
 			},
 			PkgSCQ: {
 				"TryEnqueue", "Dequeue", "TryEnqueueBatch", "DequeueBatch",
@@ -213,7 +203,7 @@ func RepoSymbols() []SymbolDef {
 		{Name: "WINDOW", Pkg: PkgCore, Const: "CoalesceMaxWindow",
 			Doc: "coalescing buffer cap: flush/refill width (DESIGN.md §8)"},
 		{Name: "PARK", Pkg: PkgCore, Const: "ParkSpinMax",
-			Doc: "parking-ladder spin cap: the longest bounded pause an empty dequeue spends before a single Gosched (DESIGN.md §9)"},
+			Doc: "exported spin cap: the longest bounded pause one core.Pause call spends"},
 		{Name: "LANES", Pkg: PkgSharded, Const: "MaxLanes",
 			Doc: "sharded lane count cap: dispatch sweeps visit at most LANES lanes"},
 		{Name: "FAST_TICKETS", Pkg: PkgSCQ, Const: "fastTickets",

@@ -96,16 +96,15 @@ func RepoLayoutRules() []LayoutRule {
 			MinSize:          2 * CacheLineSize,
 		},
 		{
-			// rr is the layer's one shared FAA word; it sits a full line
-			// from the read-mostly descriptor fields before it and the
-			// registration words after it (the regSeq round-robin counter
-			// and the shell free-list head, both CASed/FAAed only on the
-			// cold Register/Release path).
+			// The registration words (the regSeq home-lane counter and the
+			// shell free-list head, FAAed/CASed only on the cold
+			// Register/Release path) sit a full line from the read-mostly
+			// descriptor fields every operation loads.
 			Pkg: PkgSharded, Struct: "Queue",
 			Gaps: []Gap{
-				{From: "maxHandles", To: "rr", FromEnd: true},
-				{From: "rr", To: "regSeq", FromEnd: true},
+				{From: "shells", To: "regSeq", FromEnd: true},
 			},
+			TrailingPadAfter: "hfree",
 		},
 		{
 			Pkg: PkgSharded, Struct: "Handle",

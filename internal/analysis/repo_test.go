@@ -94,15 +94,12 @@ func TestRepoObligations(t *testing.T) {
 		// harvest at least one value, break on ErrFull/EMPTY witnesses.
 		"(*Handle).TryEnqueueBatch": 1,
 		"(*Handle).DequeueBatch":    1,
-		// The sharded layer's SCQ lane mode: the blocking Enqueue adapter's
-		// backpressure spin (scqlane.go).
-		"(*Queue).scqEnqueue": 1,
 		// Operation coalescing (DESIGN.md §8): the dequeue-side flush-retry
-		// loop appears once in core and once in the sharded shell — at most
-		// two rounds, since the single flush empties the producer buffer.
-		"(*Queue).CoalescedDequeue": 2,
-		// Consumer parking (DESIGN.md §9): the parking ladder's spin,
-		// clamped to ParkSpinMax (the PARK symbol) on entry.
+		// loop — at most two rounds, since the single flush empties the
+		// producer buffer.
+		"(*Queue).CoalescedDequeue": 1,
+		// The exported spin primitive, clamped to ParkSpinMax (the PARK
+		// symbol) on entry.
 		"Pause": 1,
 	}
 	got := map[string]int{}

@@ -1,6 +1,6 @@
 // Steady-state allocation measurements behind the exact-zero allocation
 // gates in bench_test.go (TestSteadyStateAllocsZero and its SCQ,
-// coalescing, topology and handle-churn siblings), which fail when a queue
+// coalescing, sharded and handle-churn siblings), which fail when a queue
 // hot path allocates at steady state.
 package bench
 
@@ -10,7 +10,6 @@ import (
 	"strings"
 	"unsafe"
 
-	"wfqueue/internal/affinity"
 	"wfqueue/internal/core"
 	"wfqueue/internal/scq"
 	"wfqueue/internal/sharded"
@@ -278,27 +277,17 @@ func CoalesceSteadyStateAllocs(ops, window int) SteadyStateResult {
 	}
 }
 
-// TopoSteadyStateAllocs measures the heap allocations of the
-// topology-aware sharded queue's hot path at steady state: enqueue/dequeue
-// pairs (placement + distance-ordered stealing) interleaved with runs of
-// EMPTY dequeues long enough to arm and climb the parking ladder, so the
-// number proves the whole topology surface — precomputed steal tables, the
-// parking EWMA, the bounded spin rungs and the Gosched rung — allocates
-// nothing. A deterministic fake topology (8 CPUs, 2 LLC domains) keeps the
-// measurement identical on every host. Expected: exactly 0.
-func TopoSteadyStateAllocs(ops int) SteadyStateResult {
+// ShardedSteadyStateAllocs measures the heap allocations of the sharded
+// queue's hot path at steady state: each value is enqueued on one
+// handle's home lane and stolen by the next handle's sweep, and every few
+// pairs an EMPTY dequeue runs the full two-pass sweep over every foreign
+// lane, so the number covers home-lane dispatch, successful steals and the
+// EMPTY witness pass on top of the core lanes. Expected: exactly 0.
+func ShardedSteadyStateAllocs(ops int) SteadyStateResult {
 	if ops < 1 {
 		ops = 1
 	}
-	infos := make([]affinity.CPUInfo, 8)
-	for c := range infos {
-		infos[c] = affinity.CPUInfo{CPU: c, Pkg: c / 4, Core: c / 2, LLC: c / 4, Node: c / 4}
-	}
-	cpu := 0
 	q := sharded.New(4, sharded.WithLanes(4),
-		sharded.WithTopology(affinity.Build(infos)),
-		sharded.WithParking(),
-		sharded.WithCPUSource(func() (int, bool) { cpu++; return cpu, true }),
 		sharded.WithCoreOptions(core.WithSegmentShift(6), core.WithMaxGarbage(1), core.WithRecycling(true)))
 	// One handle per lane, all driven by this goroutine in rotation: every
 	// lane keeps receiving enqueues, so the cells the EMPTY sweeps poison on
@@ -316,38 +305,28 @@ func TopoSteadyStateAllocs(ops int) SteadyStateResult {
 	v := new(uint64)
 	p := unsafe.Pointer(v)
 
-	// Warm every lane past its first reclamation cycle and arm the parking
-	// EWMA (full windows of EMPTY sweeps).
-	for i := 0; i < 4*(4<<6); i++ {
-		h := hs[i%len(hs)]
-		q.Enqueue(h, p)
-		q.Dequeue(h)
-	}
-	for i := 0; i < 512; i++ {
-		q.Dequeue(hs[i%len(hs)])
-	}
-
-	run := func() {
+	run := func(ops int) {
 		for i := 0; i < ops; i++ {
 			h := hs[i%len(hs)]
 			q.Enqueue(h, p)
-			q.Dequeue(h)
-			// One EMPTY full-queue sweep every few pairs keeps the parking
-			// controller and the distance-ordered definitive pass in the
-			// measured window.
+			// The next handle's home lane is empty, so its dequeue steals
+			// the value from h's lane.
+			q.Dequeue(hs[(i+1)%len(hs)])
+			// One EMPTY full-queue sweep every few pairs keeps the
+			// definitive pass in the measured window.
 			if i&7 == 0 {
 				q.Dequeue(h)
 			}
 		}
 	}
+	// Warm every lane past its first reclamation cycle.
+	run(4 * (4 << 6))
 	// One untimed pass first: the EMPTY sweeps widen each lane's live
 	// segment window over its first pass (four fresh segments), and the
-	// pools settle only after that. Then the measured pass, attributed
-	// (queueAllocs): the Gosched rung hands the processor to the scheduler,
-	// and the runtime work that runs then (starting an M, timers) allocates
-	// without a queue frame.
-	run()
-	objs, bytes, stacks := queueAllocs(run)
+	// pools settle only after that. Then the measured pass, attributed to
+	// queue frames (queueAllocs).
+	run(ops)
+	objs, bytes, stacks := queueAllocs(func() { run(ops) })
 	return SteadyStateResult{
 		Ops:         ops,
 		AllocsPerOp: float64(objs) / float64(ops),

@@ -373,12 +373,14 @@ func TestCoalesceSteadyStateAllocsZero(t *testing.T) {
 	}
 }
 
-// TestTopoSteadyStateAllocsZero is the topology-layer zero-allocation gate:
-// placement, distance-ordered sweeps, and the parking ladder must allocate
-// nothing at steady state.
-func TestTopoSteadyStateAllocsZero(t *testing.T) {
-	st := TopoSteadyStateAllocs(50_000)
+// TestShardedSteadyStateAllocsZero is the sharded-layer zero-allocation
+// gate: home-lane dispatch and the two-pass steal sweep must allocate
+// nothing at steady state. It counts only queue-frame allocations, so it
+// holds under -race too.
+func TestShardedSteadyStateAllocsZero(t *testing.T) {
+	st := ShardedSteadyStateAllocs(50_000)
 	if st.AllocsPerOp != 0 {
-		t.Fatalf("topology hot path allocates %.6f objects/op at steady state, want 0", st.AllocsPerOp)
+		t.Fatalf("sharded hot path allocates %.6f objects/op at steady state, want 0, at:\n%s",
+			st.AllocsPerOp, st.AllocSites())
 	}
 }

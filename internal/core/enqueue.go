@@ -269,19 +269,16 @@ func pause(n int) {
 	}
 }
 
-// ParkSpinMax caps one exported Pause call, in pause-loop iterations. It is
-// the top spin rung of the sharded layer's empty-queue parking ladder
-// (DESIGN.md §9): a repeatedly-empty dequeuer doubles its pause from a few
-// dozen iterations up to this cap, then escalates to runtime.Gosched. As a
-// compile-time constant it prices the ladder into the wait-freedom
-// certificate — one parked call costs at most ParkSpinMax + O(1) steps.
+// ParkSpinMax caps one exported Pause call, in pause-loop iterations. As a
+// compile-time constant it prices Pause into the wait-freedom certificate:
+// one call costs at most ParkSpinMax + O(1) steps.
 const ParkSpinMax = 4096
 
 // Pause busy-waits for about n iterations of trivial arithmetic without
 // touching shared memory, clamping n to ParkSpinMax — the exported spin
-// primitive for bounded wait ladders layered above the core (the sharded
-// queue's consumer parking). Like pause it never blocks, never yields and
-// never loads shared state, so a parked consumer takes its cache-line
+// primitive for callers that idle-poll the queue and want a bounded wait
+// between EMPTY dequeues. Like pause it never blocks, never yields and
+// never loads shared state, so a waiting consumer takes its cache-line
 // traffic off the interconnect entirely.
 func Pause(n int) {
 	if n > ParkSpinMax {

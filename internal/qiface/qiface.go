@@ -174,9 +174,8 @@ type CoalescingProvider interface {
 
 // Ordering classifies the FIFO guarantee a queue implementation provides,
 // so harnesses apply the right oracle: the exact linearizability checker
-// only makes sense for OrderFIFO queues, the per-producer order validation
-// of the MPMC batteries for OrderFIFO and OrderPerProducer, and only the
-// loss/duplication accounting for OrderNone.
+// only makes sense for OrderFIFO queues, while the MPMC batteries validate
+// per-producer order for both.
 type Ordering int
 
 const (
@@ -186,13 +185,9 @@ const (
 	// OrderPerProducer: values from one producer handle are dequeued in
 	// their enqueue order, and no value is lost or duplicated, but values
 	// from different producers may be reordered arbitrarily (the sharded
-	// queue's affinity dispatch: each handle's values land in one lane in
+	// queue's home-lane dispatch: each handle's values land in one lane in
 	// order).
 	OrderPerProducer
-	// OrderNone: only no-loss/no-duplication holds (the sharded queue's
-	// round-robin dispatch: one producer's consecutive values land in
-	// different lanes).
-	OrderNone
 )
 
 func (o Ordering) String() string {
@@ -201,8 +196,6 @@ func (o Ordering) String() string {
 		return "fifo"
 	case OrderPerProducer:
 		return "per-producer"
-	case OrderNone:
-		return "none"
 	}
 	return fmt.Sprintf("Ordering(%d)", int(o))
 }

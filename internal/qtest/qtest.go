@@ -475,15 +475,13 @@ func ChurnStorm(t *testing.T, mk Maker, capacity, churners, cycles int) {
 // through TryEnq until the first rejection, verify the rejection is sticky,
 // drain one value, verify a retry succeeds, then drain and repeat the cycle
 // so the ring's cycle-tag wrap is crossed. capacity is the queue's declared
-// total capacity (qiface.CapacityProvider); exact asserts that a single
-// producer fills exactly that many slots before rejection — true for single
-// linearizable FIFO rings, false for sharded lanes whose backpressure is per
-// lane (a single producer bounces off its home lane's share first).
+// capacity (qiface.CapacityProvider), and a single producer must fill
+// exactly that many slots before rejection.
 //
 // Values go through one worker, so FIFO order of the accepted values is
 // checked unconditionally: even per-producer-ordered queues owe a single
 // producer/consumer pair strict order.
-func FullQueue(t *testing.T, mk Maker, capacity int, exact bool) {
+func FullQueue(t *testing.T, mk Maker, capacity int) {
 	t.Helper()
 	ops := mk(t, 1)()
 	if ops.TryEnq == nil {
@@ -502,7 +500,7 @@ func FullQueue(t *testing.T, mk Maker, capacity int, exact bool) {
 	if fill == 0 {
 		t.Fatal("first TryEnq rejected on an empty queue")
 	}
-	if exact && fill != capacity {
+	if fill != capacity {
 		t.Fatalf("filled %d slots before rejection, want exactly %d", fill, capacity)
 	}
 	// A full verdict must be sticky while nothing is drained.
@@ -532,7 +530,7 @@ func FullQueue(t *testing.T, mk Maker, capacity int, exact bool) {
 		for ops.TryEnq(int64(r)<<32 | int64(n+1)) {
 			n++
 		}
-		if exact && n != capacity {
+		if n != capacity {
 			t.Fatalf("cycle %d: filled %d, want %d", r, n, capacity)
 		}
 		for j := 1; j <= n; j++ {
@@ -627,14 +625,14 @@ func FullQueueMPMC(t *testing.T, mk Maker, producers, consumers, perProducer int
 
 // BoundedBattery runs the backpressure conformance suite on top of Battery's
 // concerns: the sequential full/drain-one/retry contract, cycle wrap, and
-// the concurrent TryEnq path. capacity and exact are as for FullQueue.
-func BoundedBattery(t *testing.T, mk Maker, capacity int, exact bool) {
+// the concurrent TryEnq path. capacity is as for FullQueue.
+func BoundedBattery(t *testing.T, mk Maker, capacity int) {
 	t.Helper()
 	per := 5000
 	if testing.Short() {
 		per = 500
 	}
-	t.Run("FullQueue", func(t *testing.T) { FullQueue(t, mk, capacity, exact) })
+	t.Run("FullQueue", func(t *testing.T) { FullQueue(t, mk, capacity) })
 	t.Run("FullQueueMPMC-4x4", func(t *testing.T) { FullQueueMPMC(t, mk, 4, 4, per) })
 	t.Run("FullQueueMPMC-8x2", func(t *testing.T) { FullQueueMPMC(t, mk, 8, 2, per/4) })
 }

@@ -7,7 +7,6 @@ import (
 	"wfqueue/internal/core"
 	"wfqueue/internal/qiface"
 	"wfqueue/internal/scq"
-	"wfqueue/internal/sharded"
 )
 
 // Registry wiring for the operation-coalescing variants (DESIGN.md §8):
@@ -17,7 +16,6 @@ import (
 //	                     to wf-10; the lincheck gate runs here)
 //	wf-coalesce-w4       window 4  (window-sweep probe)
 //	wf-coalesce-w64      window 64 (window-sweep probe, the compile-time max)
-//	wf-sharded-coalesce  sharded lanes with shell-level coalescing, window 16
 //	wf-scq-coalesce      bounded SCQ ring behind an adapter-level coalescing
 //	                     window (16) built on the ring's batch reservations
 //
@@ -56,13 +54,6 @@ func init() {
 		Name: "wf-coalesce-w64", Doc: "wf-10 with operation coalescing, window 64 (sweep probe, compile-time max)",
 		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer,
 		New: func(n int) (qiface.Queue, error) { return newWFCoalesce("wf-coalesce-w64", n, 64, false) },
-	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-sharded-coalesce", Doc: "sharded lanes with shell-level coalescing, window 16",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer,
-		New: func(n int) (qiface.Queue, error) {
-			return newShardedCoalesce("wf-sharded-coalesce", n, coalesceDefaultWindow, false)
-		},
 	})
 	qiface.Register(qiface.Factory{
 		// Not Bounded: the adapter's producer buffer sits outside the ring,
@@ -134,64 +125,6 @@ func buildWFCoalescedOps(q *core.Queue, h *core.Handle, boxed bool) qiface.Ops {
 			return len(dst)
 		},
 	}
-}
-
-func newShardedCoalesce(name string, n, window int, boxed bool) (qiface.Queue, error) {
-	return &shardedAdapter{
-		name: name, boxed: boxed, coalesced: true,
-		q: sharded.New(n, sharded.WithCoalescing(window)),
-	}, nil
-}
-
-// CoalesceWindow implements qiface.CoalescingProvider.
-func (a *shardedAdapter) CoalesceWindow() int { return a.q.CoalesceWindow() }
-
-// registerCoalesced is shardedAdapter.Register for coalescing instances:
-// the same value adapters, driven through the shell-level coalescing entry
-// points so a whole window lands in one lane per flush.
-func (a *shardedAdapter) registerCoalesced() (qiface.Ops, error) {
-	h, err := a.q.Register()
-	if err != nil {
-		return qiface.Ops{}, err
-	}
-	scr := &batchScratch{}
-	put := boxVal
-	if !a.boxed {
-		ar := &arena{}
-		put = func(v uint64) unsafe.Pointer { return ptr(ar.put(v)) }
-	}
-	deq := func() (uint64, bool) {
-		p, ok := a.q.CoalescedDequeue(h)
-		if !ok {
-			return 0, false
-		}
-		return *(*uint64)(p), true
-	}
-	return qiface.Ops{
-		Enqueue: func(v uint64) { a.q.CoalescedEnqueue(h, put(v)) },
-		Dequeue: deq,
-		Flush:   func() { a.q.Flush(h) },
-		EnqueueBatch: func(vs []uint64) {
-			a.q.Flush(h)
-			buf := scr.grow(len(vs))
-			for i, v := range vs {
-				buf[i] = put(v)
-			}
-			a.q.EnqueueBatch(h, buf)
-			clear(buf)
-		},
-		DequeueBatch: func(dst []uint64) int {
-			for i := range dst {
-				v, ok := deq()
-				if !ok {
-					return i
-				}
-				dst[i] = v
-			}
-			return len(dst)
-		},
-		Release: h.Release,
-	}, nil
 }
 
 // scqCoalesceAdapter wraps the bounded SCQ ring in an adapter-level

@@ -19,7 +19,6 @@ var coalesceNames = []struct {
 	{"wf-coalesce-w1", 1},
 	{"wf-coalesce-w4", 4},
 	{"wf-coalesce-w64", 64},
-	{"wf-sharded-coalesce", 16},
 	{"wf-scq-coalesce", 16},
 }
 

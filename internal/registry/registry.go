@@ -20,35 +20,20 @@
 //	               so the lincheck/fuzz/battery suites exercise the
 //	               reclamation and reuse paths under contention)
 //	wf-sharded     multi-lane sharded queue over wf-10 lanes, one lane per
-//	               CPU by default, affinity dispatch + work stealing
+//	               CPU by default, home-lane dispatch + work stealing
 //	               (per-producer ordering, qiface.OrderPerProducer)
 //	wf-sharded-1   sharded queue pinned to one lane — strict FIFO
 //	               degenerate configuration (qiface.OrderFIFO, lincheck-able)
-//	wf-sharded-8   sharded queue with exactly 8 lanes (lane-scaling probe)
-//	wf-sharded-rr  sharded queue with round-robin dispatch: balanced lanes,
-//	               no per-producer ordering (qiface.OrderNone; only
-//	               no-loss/no-duplication harnesses apply)
-//	wf-sharded-topo  sharded queue with topology-aware placement: lanes
-//	               anchored over the host's LLC domains (affinity.System),
-//	               registration homed inside the caller's domain, the steal
-//	               sweep in cache-distance order, and the empty-queue parking
-//	               ladder on. Per-producer ordering holds
-//	               (qiface.OrderPerProducer)
 //	wf-scq         bounded SCQ ring queue (internal/scq): indirect ring over
 //	               cycle-tagged entries, FAA ticket hot path, TryEnqueue /
 //	               ErrFull backpressure at a fixed capacity of 16384 values,
 //	               wCQ-style request-word helping on the dequeue side
 //	               (qiface.OrderFIFO, Bounded)
-//	wf-sharded-scq sharded queue whose lanes are bounded SCQ rings (4096
-//	               values per lane): per-lane backpressure, affinity
-//	               dispatch + stealing (qiface.OrderPerProducer, Bounded)
 //	wf-coalesce    wf-10 with transparent operation coalescing (window 16):
 //	               per-handle producer/drain buffers flushed through the
 //	               k-cell single-FAA reservations (per-producer ordering).
 //	               wf-coalesce-w1/-w4/-w64 sweep the window; window 1 is a
 //	               pure passthrough of wf-10 (strict FIFO, lincheck-able)
-//	wf-sharded-coalesce  sharded lanes with shell-level coalescing: each
-//	               flush lands a whole window in one lane (per-producer order)
 //	wf-scq-coalesce      bounded SCQ ring behind an adapter-level coalescing
 //	               window built on the ring's batch reservations
 //
@@ -58,7 +43,8 @@
 // arena has 2^16 slots per thread; a thread may therefore have at most 2^16
 // values outstanding before slots are reused, which only affects the values
 // read back (never memory safety) and is far beyond what any workload here
-// keeps in flight.
+// keeps in flight. A slot is claimed only by a value the queue accepted: a
+// TryEnqueue rejected as full hands its slot to the next attempt.
 package registry
 
 import (
@@ -66,7 +52,6 @@ import (
 	"runtime"
 	"unsafe"
 
-	"wfqueue/internal/affinity"
 	"wfqueue/internal/ccqueue"
 	"wfqueue/internal/chanq"
 	"wfqueue/internal/core"
@@ -90,10 +75,16 @@ type arena struct {
 	next  int
 }
 
-func (a *arena) put(v uint64) *uint64 {
+// slot writes v into the next free slot without claiming it.
+func (a *arena) slot(v uint64) *uint64 {
 	p := &a.slots[a.next&(arenaSize-1)]
-	a.next++
 	*p = v
+	return p
+}
+
+func (a *arena) put(v uint64) *uint64 {
+	p := a.slot(v)
+	a.next++
 	return p
 }
 
@@ -180,7 +171,7 @@ func init() {
 		New: func(n int) (qiface.Queue, error) { return newChan("chan") },
 	})
 	qiface.Register(qiface.Factory{
-		Name: "wf-sharded", Doc: "sharded multi-lane wf-10 (lane per CPU, affinity dispatch, stealing)",
+		Name: "wf-sharded", Doc: "sharded multi-lane wf-10 (lane per CPU, home-lane dispatch, stealing)",
 		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer,
 		New: func(n int) (qiface.Queue, error) { return newSharded("wf-sharded", n, false) },
 	})
@@ -192,28 +183,6 @@ func init() {
 		},
 	})
 	qiface.Register(qiface.Factory{
-		Name: "wf-sharded-8", Doc: "sharded queue, 8 lanes (lane-scaling probe)",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer,
-		New: func(n int) (qiface.Queue, error) {
-			return newSharded("wf-sharded-8", n, false, sharded.WithLanes(8))
-		},
-	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-sharded-rr", Doc: "sharded queue, round-robin dispatch (balanced lanes, unordered)",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderNone,
-		New: func(n int) (qiface.Queue, error) {
-			return newSharded("wf-sharded-rr", n, false, sharded.WithDispatch(sharded.DispatchRoundRobin))
-		},
-	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-sharded-topo", Doc: "sharded queue, LLC-domain lane placement + distance-ordered stealing + parking",
-		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer,
-		New: func(n int) (qiface.Queue, error) {
-			return newSharded("wf-sharded-topo", n, false,
-				sharded.WithTopology(affinity.System()), sharded.WithParking())
-		},
-	})
-	qiface.Register(qiface.Factory{
 		// WaitFree is deliberately false: the SCQ enqueue side is lock-free
 		// with threshold-based livelock freedom, and the dequeue side's
 		// helping bound holds under the operational model of DESIGN.md §7,
@@ -221,13 +190,6 @@ func init() {
 		Name: "wf-scq", Doc: "bounded SCQ ring, cap 16384 (FAA tickets, ErrFull backpressure, helped dequeues)",
 		ChurnSafe: true, Ordering: qiface.OrderFIFO, Bounded: true,
 		New: func(n int) (qiface.Queue, error) { return newSCQ("wf-scq", n, scqDefaultCapacity, false) },
-	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-sharded-scq", Doc: "sharded bounded SCQ lanes, cap 4096/lane (per-lane backpressure, stealing)",
-		ChurnSafe: true, Ordering: qiface.OrderPerProducer, Bounded: true,
-		New: func(n int) (qiface.Queue, error) {
-			return newSCQSharded("wf-sharded-scq", n, false)
-		},
 	})
 }
 
@@ -365,10 +327,7 @@ func (a *wfAdapter) Stats() map[string]uint64 {
 type shardedAdapter struct {
 	name  string
 	boxed bool
-	// coalesced routes Register through the shell-level coalescing entry
-	// points (coalesce.go).
-	coalesced bool
-	q         *sharded.Queue
+	q     *sharded.Queue
 }
 
 func newSharded(name string, n int, boxed bool, opts ...sharded.Option) (qiface.Queue, error) {
@@ -378,9 +337,6 @@ func newSharded(name string, n int, boxed bool, opts ...sharded.Option) (qiface.
 func (a *shardedAdapter) Name() string { return a.name }
 
 func (a *shardedAdapter) Register() (qiface.Ops, error) {
-	if a.coalesced {
-		return a.registerCoalesced()
-	}
 	h, err := a.q.Register()
 	if err != nil {
 		return qiface.Ops{}, err
@@ -441,7 +397,8 @@ func (a *shardedAdapter) Register() (qiface.Ops, error) {
 }
 
 // Stats implements qiface.StatsProvider: the lane-summed core counters under
-// the usual keys plus the sharded layer's own (lanes, steals, sweeps, ...).
+// the usual keys plus the sharded layer's own (lanes, steals, sweeps,
+// empty dequeues).
 func (a *shardedAdapter) Stats() map[string]uint64 {
 	st := a.q.Stats()
 	m := coreStatsMap(st.Core)
@@ -449,9 +406,6 @@ func (a *shardedAdapter) Stats() map[string]uint64 {
 	m["steals"] = st.Sharded.Steals
 	m["sweeps"] = st.Sharded.Sweeps
 	m["empty_dequeues"] = st.Sharded.EmptyDequeues
-	m["rr_dispatches"] = st.Sharded.RRDispatches
-	m["parks"] = st.Sharded.Parks
-	m["park_yields"] = st.Sharded.ParkYields
 	return m
 }
 
@@ -463,12 +417,6 @@ func (a *shardedAdapter) Stats() map[string]uint64 {
 // exercised at small capacities by the dedicated battery, which constructs
 // its own instances through scq.New.
 const scqDefaultCapacity = 1 << 14
-
-// scqShardedLaneCapacity is the per-lane ring capacity of wf-sharded-scq.
-// Backpressure is per lane (a producer's TryEnqueue bounces off its own
-// lane), so this must also clear the single-handle fill depth of the
-// conformance batteries; total retention is lanes × this.
-const scqShardedLaneCapacity = 1 << 12
 
 // scqAdapter drives the bounded SCQ queue through the qiface surface,
 // including the capacity contract: TryEnqueue maps scq.ErrFull to false and
@@ -499,16 +447,27 @@ func (a *scqAdapter) Register() (qiface.Ops, error) {
 	if err != nil {
 		return qiface.Ops{}, err
 	}
-	put := boxVal
+	// An arena slot is claimed only once the ring accepts its pointer: a
+	// rejected attempt leaves it to the next one, so ErrFull retries cannot
+	// wrap the arena over slots whose pointers are still queued.
+	slot, claim := boxVal, func() {}
 	if !a.boxed {
 		ar := &arena{}
-		put = func(v uint64) unsafe.Pointer { return ptr(ar.put(v)) }
+		slot = func(v uint64) unsafe.Pointer { return ptr(ar.slot(v)) }
+		claim = func() { ar.next++ }
+	}
+	try := func(p unsafe.Pointer) bool {
+		if h.TryEnqueue(p) != nil {
+			return false
+		}
+		claim()
+		return true
 	}
 	return qiface.WithBatchFallback(qiface.Ops{
-		TryEnqueue: func(v uint64) bool { return h.TryEnqueue(put(v)) == nil },
+		TryEnqueue: func(v uint64) bool { return try(slot(v)) },
 		Enqueue: func(v uint64) {
-			p := put(v)
-			for h.TryEnqueue(p) != nil {
+			p := slot(v)
+			for !try(p) {
 				runtime.Gosched()
 			}
 		},
@@ -525,63 +484,6 @@ func (a *scqAdapter) Register() (qiface.Ops, error) {
 
 // Stats implements qiface.StatsProvider (the scq counter keys).
 func (a *scqAdapter) Stats() map[string]uint64 { return a.q.Stats() }
-
-// scqShardedAdapter drives the sharded queue in SCQ lane mode. The sharded
-// package's own Enqueue blocks on a full lane, so only TryEnqueue needs
-// adapter-level translation.
-type scqShardedAdapter struct {
-	name  string
-	boxed bool
-	q     *sharded.Queue
-}
-
-func newSCQSharded(name string, n int, boxed bool, opts ...sharded.Option) (qiface.Queue, error) {
-	opts = append(opts, sharded.WithSCQLanes(scqShardedLaneCapacity))
-	return &scqShardedAdapter{name: name, boxed: boxed, q: sharded.New(n, opts...)}, nil
-}
-
-func (a *scqShardedAdapter) Name() string { return a.name }
-
-// Capacity implements qiface.CapacityProvider: the total retention bound,
-// lanes × per-lane ring capacity (backpressure itself is per lane).
-func (a *scqShardedAdapter) Capacity() int { return a.q.Capacity() }
-
-func (a *scqShardedAdapter) Register() (qiface.Ops, error) {
-	h, err := a.q.Register()
-	if err != nil {
-		return qiface.Ops{}, err
-	}
-	put := boxVal
-	if !a.boxed {
-		ar := &arena{}
-		put = func(v uint64) unsafe.Pointer { return ptr(ar.put(v)) }
-	}
-	return qiface.WithBatchFallback(qiface.Ops{
-		TryEnqueue: func(v uint64) bool { return a.q.TryEnqueue(h, put(v)) == nil },
-		Enqueue:    func(v uint64) { a.q.Enqueue(h, put(v)) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := a.q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
-		Release: h.Release,
-	}), nil
-}
-
-// Stats implements qiface.StatsProvider: the lane-summed scq counters plus
-// the sharded layer's own.
-func (a *scqShardedAdapter) Stats() map[string]uint64 {
-	st := a.q.Stats()
-	m := a.q.SCQStats()
-	m["lanes"] = uint64(st.Lanes)
-	m["steals"] = st.Sharded.Steals
-	m["sweeps"] = st.Sharded.Sweeps
-	m["empty_dequeues"] = st.Sharded.EmptyDequeues
-	m["full_rejects"] = st.Sharded.FullRejects
-	return m
-}
 
 type ofAdapter struct {
 	name  string
@@ -858,22 +760,6 @@ func (a *simAdapter) Register() (qiface.Ops, error) {
 	}), nil
 }
 
-// NewShardedTopoChecked builds a value-exact (boxed) topology-aware sharded
-// queue over an injected topology snapshot and CPU source — the wfqstress
-// -topo fault-injection entry point. The source may report CPUs that do not
-// exist in the snapshot (a shrinking fake topology): placement must clamp,
-// never index a vanished lane, which is exactly what the stress run audits.
-// lanes <= 0 selects the default lane count.
-func NewShardedTopoChecked(n int, topo *affinity.Topology, src func() (int, bool), lanes int) (qiface.Queue, error) {
-	opts := []sharded.Option{
-		sharded.WithTopology(topo), sharded.WithParking(), sharded.WithCPUSource(src),
-	}
-	if lanes > 0 {
-		opts = append(opts, sharded.WithLanes(lanes))
-	}
-	return newSharded("wf-sharded-topo", n, true, opts...)
-}
-
 // NewChecked builds the named queue with value-exact adapters: pointer-based
 // queues box every value on the heap instead of cycling a fixed arena. Use
 // this for correctness validation (stress accounting, long soaks); the
@@ -895,17 +781,8 @@ func NewChecked(name string, n int) (qiface.Queue, error) {
 		return newSharded(name, n, true)
 	case "wf-sharded-1":
 		return newSharded(name, n, true, sharded.WithLanes(1))
-	case "wf-sharded-8":
-		return newSharded(name, n, true, sharded.WithLanes(8))
-	case "wf-sharded-rr":
-		return newSharded(name, n, true, sharded.WithDispatch(sharded.DispatchRoundRobin))
-	case "wf-sharded-topo":
-		return newSharded(name, n, true,
-			sharded.WithTopology(affinity.System()), sharded.WithParking())
 	case "wf-scq":
 		return newSCQ(name, n, scqDefaultCapacity, true)
-	case "wf-sharded-scq":
-		return newSCQSharded(name, n, true)
 	case "wf-coalesce":
 		return newWFCoalesce(name, n, coalesceDefaultWindow, true)
 	case "wf-coalesce-w1":
@@ -914,8 +791,6 @@ func NewChecked(name string, n int) (qiface.Queue, error) {
 		return newWFCoalesce(name, n, 4, true)
 	case "wf-coalesce-w64":
 		return newWFCoalesce(name, n, 64, true)
-	case "wf-sharded-coalesce":
-		return newShardedCoalesce(name, n, coalesceDefaultWindow, true)
 	case "wf-scq-coalesce":
 		return newSCQCoalesce(name, n, scqDefaultCapacity, coalesceDefaultWindow, true)
 	case "of":

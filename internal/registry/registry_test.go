@@ -2,9 +2,6 @@ package registry
 
 import (
 	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"wfqueue/internal/core"
@@ -25,19 +22,6 @@ func realQueues(t *testing.T) []string {
 	}
 	if len(names) < 9 {
 		t.Fatalf("expected at least 9 real queues registered, have %v", names)
-	}
-	return names
-}
-
-// orderedQueues are the real queues guaranteeing at least per-producer FIFO
-// order — the precondition for the battery's order validation. OrderNone
-// queues (round-robin sharded dispatch) get no-loss coverage separately.
-func orderedQueues(t *testing.T) []string {
-	var names []string
-	for _, n := range realQueues(t) {
-		if MustLookup(n).Ordering != qiface.OrderNone {
-			names = append(names, n)
-		}
 	}
 	return names
 }
@@ -113,93 +97,15 @@ func makerFor(name string) qtest.Maker {
 	}
 }
 
-// TestConformanceAllQueues runs the full battery over every ordered queue
-// via its registry adapter — the cross-implementation integration test. The
-// battery validates per-producer FIFO, which OrderNone queues deliberately
-// do not promise; they are covered by TestUnorderedQueuesNoLoss.
+// TestConformanceAllQueues runs the full battery over every real queue via
+// its registry adapter — the cross-implementation integration test. Every
+// registered queue guarantees at least per-producer FIFO, which is what the
+// battery's MPMC parts validate.
 func TestConformanceAllQueues(t *testing.T) {
-	for _, name := range orderedQueues(t) {
+	for _, name := range realQueues(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			qtest.Battery(t, makerFor(name))
-		})
-	}
-}
-
-// TestUnorderedQueuesNoLoss is the conformance test for OrderNone queues:
-// concurrent producers and consumers, and the only invariants an unordered
-// queue owes are no loss, no duplication, and honest emptiness.
-func TestUnorderedQueuesNoLoss(t *testing.T) {
-	var unordered []string
-	for _, name := range realQueues(t) {
-		if MustLookup(name).Ordering == qiface.OrderNone {
-			unordered = append(unordered, name)
-		}
-	}
-	if len(unordered) == 0 {
-		t.Fatal("expected at least one OrderNone queue (wf-sharded-rr)")
-	}
-	for _, name := range unordered {
-		t.Run(name, func(t *testing.T) {
-			const workers, per = 4, 5000
-			q, err := NewChecked(name, 2*workers+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for p := 0; p < workers; p++ {
-				ops, err := q.Register()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func(p int, ops qiface.Ops) {
-					defer wg.Done()
-					for s := 0; s < per; s++ {
-						ops.Enqueue(uint64(p)<<32 | uint64(s+1))
-					}
-				}(p, ops)
-			}
-			var mu sync.Mutex
-			seen := make(map[uint64]bool, workers*per)
-			var count int64
-			for c := 0; c < workers; c++ {
-				ops, err := q.Register()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func(ops qiface.Ops) {
-					defer wg.Done()
-					for atomic.LoadInt64(&count) < workers*per {
-						v, ok := ops.Dequeue()
-						if !ok {
-							runtime.Gosched()
-							continue
-						}
-						mu.Lock()
-						if seen[v] {
-							mu.Unlock()
-							t.Errorf("value %x dequeued twice", v)
-							return
-						}
-						seen[v] = true
-						mu.Unlock()
-						atomic.AddInt64(&count, 1)
-					}
-				}(ops)
-			}
-			wg.Wait()
-			if len(seen) != workers*per {
-				t.Fatalf("dequeued %d distinct values, want %d", len(seen), workers*per)
-			}
-			ops, err := q.Register()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := ops.Dequeue(); ok {
-				t.Fatalf("drained queue returned %x", v)
-			}
 		})
 	}
 }
@@ -223,20 +129,16 @@ func TestFAAAdapterCounts(t *testing.T) {
 func TestWaitFreeFlags(t *testing.T) {
 	waitFree := map[string]bool{
 		"wf-10": true, "wf-0": true, "wf-10-recycle": true, "kpqueue": true, "simqueue": true,
-		"wf-sharded": true, "wf-sharded-1": true, "wf-sharded-8": true, "wf-sharded-rr": true,
-		// Topology placement only reorders precomputed tables, and the
-		// parking ladder is a bounded spin plus at most one Gosched per
-		// EMPTY, so the sharded step bound survives.
-		"wf-sharded-topo": true,
+		"wf-sharded": true, "wf-sharded-1": true,
 		// Coalescing keeps wait-freedom: every buffer bound is compile-time
 		// (CoalesceMaxWindow), so a flush/refill is one bounded batch.
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,
-		"wf-coalesce-w64": true, "wf-sharded-coalesce": true,
-		"lcrq": false, "msqueue": false, "ccqueue": false, "of": false, "faa": false, "chan": false,
+		"wf-coalesce-w64": true,
+		"lcrq":            false, "msqueue": false, "ccqueue": false, "of": false, "faa": false, "chan": false,
 		// Honest flags for the SCQ variants: the ring's enqueue side is
 		// lock-free (threshold-based livelock freedom), and the dequeue-side
 		// helping bound holds under DESIGN.md §7's model, not unconditionally.
-		"wf-scq": false, "wf-sharded-scq": false,
+		"wf-scq": false,
 		// The SCQ coalescing wrapper inherits the ring's honest flags.
 		"wf-scq-coalesce": false,
 	}
@@ -260,21 +162,16 @@ func TestOrderingDeclarations(t *testing.T) {
 		"chan":          qiface.OrderFIFO,
 		"wf-sharded":    qiface.OrderPerProducer,
 		"wf-sharded-1":  qiface.OrderFIFO,
-		"wf-sharded-8":  qiface.OrderPerProducer,
-		"wf-sharded-rr": qiface.OrderNone,
-		// The single SCQ ring is one linearizable FIFO; SCQ lanes inherit the
-		// sharded affinity-dispatch relaxation.
-		"wf-scq":         qiface.OrderFIFO,
-		"wf-sharded-scq": qiface.OrderPerProducer,
+		// The single SCQ ring is one linearizable FIFO.
+		"wf-scq": qiface.OrderFIFO,
 		// Coalescing moves an enqueue's visibility point to the flush, so any
 		// window > 1 relaxes to per-producer order (each flush deposits the
 		// producer's run in order); window 1 never buffers and stays FIFO.
-		"wf-coalesce":         qiface.OrderPerProducer,
-		"wf-coalesce-w1":      qiface.OrderFIFO,
-		"wf-coalesce-w4":      qiface.OrderPerProducer,
-		"wf-coalesce-w64":     qiface.OrderPerProducer,
-		"wf-sharded-coalesce": qiface.OrderPerProducer,
-		"wf-scq-coalesce":     qiface.OrderPerProducer,
+		"wf-coalesce":     qiface.OrderPerProducer,
+		"wf-coalesce-w1":  qiface.OrderFIFO,
+		"wf-coalesce-w4":  qiface.OrderPerProducer,
+		"wf-coalesce-w64": qiface.OrderPerProducer,
+		"wf-scq-coalesce": qiface.OrderPerProducer,
 	}
 	for name, o := range want {
 		if got := MustLookup(name).Ordering; got != o {
@@ -307,13 +204,11 @@ func TestStatsProvider(t *testing.T) {
 // contract and enforces what the flag promises: instances implement
 // qiface.CapacityProvider with a positive capacity, every Ops carries a
 // non-nil TryEnqueue, and the full-queue battery holds — fill to rejection,
-// sticky full verdict, drain-one/retry, cycle reuse, and the concurrent
-// TryEnqueue path. Exact capacity-slot accounting is asserted for the
-// OrderFIFO ring; the sharded variant's backpressure is per lane, so a
-// single producer rejects at its home lane's share of the total.
+// sticky full verdict, drain-one/retry, cycle reuse, exact capacity-slot
+// accounting, and the concurrent TryEnqueue path.
 func TestBoundedContract(t *testing.T) {
 	bounded := map[string]bool{
-		"wf-scq": true, "wf-sharded-scq": true,
+		"wf-scq": true,
 	}
 	for _, name := range qiface.Names() {
 		f := MustLookup(name)
@@ -345,8 +240,47 @@ func TestBoundedContract(t *testing.T) {
 				t.Fatal("bounded factory handed out Ops with nil TryEnqueue")
 			}
 			ops.Release()
-			qtest.BoundedBattery(t, makerFor(name), capacity, f.Ordering == qiface.OrderFIFO)
+			qtest.BoundedBattery(t, makerFor(name), capacity)
 		})
+	}
+}
+
+// TestSCQArenaSurvivesRejections is the regression test for the arena
+// adapter's ErrFull path: a rejected TryEnqueue must not claim an arena
+// slot. Otherwise more than arenaSize rejections wrap the arena over the
+// slots whose pointers the full ring still holds, and the drain reads back
+// the rejected values (the "dequeued twice" failures of the concurrent
+// full-queue battery).
+func TestSCQArenaSurvivesRejections(t *testing.T) {
+	q, err := MustLookup("wf-scq").New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := q.(qiface.CapacityProvider).Capacity()
+	ops, err := q.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ops.Release()
+	for i := 0; i < capacity; i++ {
+		if !ops.TryEnqueue(uint64(i)) {
+			t.Fatalf("TryEnqueue %d rejected below Capacity() = %d", i, capacity)
+		}
+	}
+	rejected := arenaSize + capacity
+	for i := 0; i < rejected; i++ {
+		if ops.TryEnqueue(1<<40 | uint64(i)) {
+			t.Fatalf("TryEnqueue accepted a value into a full ring (attempt %d)", i)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		v, ok := ops.Dequeue()
+		if !ok || v != uint64(i) {
+			t.Fatalf("dequeue %d after %d rejections: got (%#x, %v), want %d", i, rejected, v, ok, i)
+		}
+	}
+	if v, ok := ops.Dequeue(); ok {
+		t.Fatalf("drained ring returned %#x", v)
 	}
 }
 
@@ -357,11 +291,10 @@ func TestBoundedContract(t *testing.T) {
 func TestChurnSafeContract(t *testing.T) {
 	churnSafe := map[string]bool{
 		"wf-10": true, "wf-0": true, "wf-10-recycle": true, "wf-10-tiny": true,
-		"wf-sharded": true, "wf-sharded-1": true, "wf-sharded-8": true, "wf-sharded-rr": true,
-		"wf-sharded-topo": true,
-		"wf-scq":          true, "wf-sharded-scq": true,
+		"wf-sharded": true, "wf-sharded-1": true,
+		"wf-scq":      true,
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,
-		"wf-coalesce-w64": true, "wf-sharded-coalesce": true, "wf-scq-coalesce": true,
+		"wf-coalesce-w64": true, "wf-scq-coalesce": true,
 		"of": false, "lcrq": false, "lcrq-gc": false, "msqueue": false, "msqueue-gc": false,
 		"ccqueue": false, "kpqueue": false, "faa": false, "simqueue": false, "chan": false,
 	}

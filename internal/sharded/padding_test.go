@@ -7,8 +7,8 @@ import (
 )
 
 // The sharded layer's hot-word layout — lane descriptors on private lines,
-// the round-robin FAA cursor alone on its own, the handle's stats padded
-// from neighboring allocations — is declared in analysis.RepoLayoutRules
+// the registration words a line away from the descriptor fields, the
+// handle's stats padded from neighboring allocations — is declared in analysis.RepoLayoutRules
 // and proved by wfqlint's padding pass. This wrapper re-proves the rules
 // for internal/sharded under every modeled GOARCH (the former hand-written
 // unsafe.Offsetof assertions lived here).

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"wfqueue/internal/affinity"
 	"wfqueue/internal/core"
 	"wfqueue/internal/qtest"
 )
@@ -60,11 +59,11 @@ func maker(opts ...Option) qtest.Maker {
 	}
 }
 
-// TestBattery runs the full conformance battery over the affinity-dispatch
+// TestBattery runs the full conformance battery over the home-lane
 // configurations: strict single lane, multi-lane, and multi-lane over
 // adversarial core lanes (tiny recycled segments) so steal sweeps cross
 // segment boundaries and hit recycled memory. Single-worker battery parts
-// check exact FIFO (which affinity dispatch preserves for one handle); the
+// check exact FIFO (which home-lane dispatch preserves for one handle); the
 // MPMC parts check no-loss/no-duplication and per-producer order, the
 // sharded ordering contract.
 func TestBattery(t *testing.T) {
@@ -82,50 +81,6 @@ func TestBattery(t *testing.T) {
 			t.Parallel()
 			qtest.Battery(t, maker(opts...))
 		})
-	}
-}
-
-// TestRoundRobinDispatch checks the DispatchRoundRobin contract: values
-// spread over all lanes (balanced by the FAA cursor), nothing is lost or
-// duplicated, and the queue drains to EMPTY — FIFO order deliberately not
-// asserted (OrderNone).
-func TestRoundRobinDispatch(t *testing.T) {
-	const lanes, n = 4, 1000
-	q := New(1, WithLanes(lanes), WithDispatch(DispatchRoundRobin))
-	h, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= n; i++ {
-		q.Enqueue(h, box(i))
-	}
-	// The cursor spreads a single producer's values exactly evenly.
-	for i := range q.lanes {
-		if sz := q.lanes[i].q.Size(); sz != n/lanes {
-			t.Errorf("lane %d holds %d values, want %d", i, sz, n/lanes)
-		}
-	}
-	seen := make(map[int64]bool, n)
-	for i := 0; i < n; i++ {
-		p, ok := q.Dequeue(h)
-		if !ok {
-			t.Fatalf("dequeue %d: unexpected EMPTY", i)
-		}
-		v := unbox(p)
-		if seen[v] {
-			t.Fatalf("value %d dequeued twice", v)
-		}
-		seen[v] = true
-	}
-	if _, ok := q.Dequeue(h); ok {
-		t.Fatal("drained queue returned a value")
-	}
-	st := q.Stats()
-	if st.Sharded.RRDispatches != n {
-		t.Errorf("RRDispatches = %d, want %d", st.Sharded.RRDispatches, n)
-	}
-	if st.Sharded.Enqueues != n || st.Sharded.Dequeues != n {
-		t.Errorf("Enqueues/Dequeues = %d/%d, want %d/%d", st.Sharded.Enqueues, st.Sharded.Dequeues, n, n)
 	}
 }
 
@@ -167,41 +122,6 @@ func TestRegisterHoming(t *testing.T) {
 	}
 	if _, err := q.RegisterOnLane(-1); err == nil {
 		t.Error("RegisterOnLane(-1) should fail")
-	}
-}
-
-// TestRegisterOnCurrentCPU checks the per-CPU-lane placement path: on
-// platforms with getcpu the home is cpu mod lanes; everywhere the returned
-// handle must be fully operational.
-func TestRegisterOnCurrentCPU(t *testing.T) {
-	q := New(2, WithLanes(2))
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	h, err := q.RegisterOnCurrentCPU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu, ok := affinity.CurrentCPU(); ok {
-		if want := cpu % q.Lanes(); h.Home() != want {
-			// The thread may have migrated between the two getcpu calls;
-			// only report, don't fail, unless pinning is impossible anyway.
-			t.Logf("home = %d, cpu%%lanes = %d (thread migration?)", h.Home(), want)
-		}
-	}
-	q.Enqueue(h, box(9))
-	if p, ok := q.Dequeue(h); !ok || unbox(p) != 9 {
-		t.Fatalf("CPU-homed handle roundtrip failed")
-	}
-
-	// WithCPUHoming routes plain Register through the same placement.
-	qc := New(1, WithLanes(2), WithCPUHoming(true))
-	hc, err := qc.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qc.Enqueue(hc, box(11))
-	if p, ok := qc.Dequeue(hc); !ok || unbox(p) != 11 {
-		t.Fatalf("WithCPUHoming handle roundtrip failed")
 	}
 }
 
@@ -340,8 +260,8 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	h.Release()
 	st := q.Stats()
-	if st.Lanes != 2 || st.Dispatch != DispatchAffinity {
-		t.Errorf("Lanes/Dispatch = %d/%s", st.Lanes, st.Dispatch)
+	if st.Lanes != 2 {
+		t.Errorf("Lanes = %d, want 2", st.Lanes)
 	}
 	if st.Sharded.Enqueues != 10 || st.Sharded.Dequeues != 10 {
 		t.Errorf("released handle's counters lost: %+v", st.Sharded)
@@ -366,8 +286,5 @@ func TestSizeAndString(t *testing.T) {
 	}
 	if s := q.String(); s == "" {
 		t.Error("empty String()")
-	}
-	if q.DispatchPolicy() != DispatchAffinity {
-		t.Errorf("DispatchPolicy = %v", q.DispatchPolicy())
 	}
 }

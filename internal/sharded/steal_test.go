@@ -276,41 +276,7 @@ func TestStealBatch(t *testing.T) {
 	}
 }
 
-// TestPickLaneDispatch pins enqueue dispatch: affinity always picks the
-// home lane; round-robin walks the lanes in cursor order and counts every
-// pick.
-func TestPickLaneDispatch(t *testing.T) {
-	q := New(1, WithLanes(4))
-	h, err := q.RegisterOnLane(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if li := q.pickLane(h); li != 2 {
-			t.Fatalf("affinity: pickLane = %d, want home 2", li)
-		}
-	}
-	if got := ctrLoad(&h.stats.RRDispatches); got != 0 {
-		t.Errorf("affinity dispatch counted %d round-robin picks", got)
-	}
-
-	rr := New(1, WithLanes(4), WithDispatch(DispatchRoundRobin))
-	hr, err := rr.RegisterOnLane(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if li := rr.pickLane(hr); li != i%4 {
-			t.Fatalf("round-robin pick %d: pickLane = %d, want %d", i, li, i%4)
-		}
-	}
-	if got := ctrLoad(&hr.stats.RRDispatches); got != 8 {
-		t.Errorf("RRDispatches = %d after 8 round-robin picks, want 8", got)
-	}
-}
-
-// TestSweepLane pins the steal-sweep order: the given order when one is in
-// hand (the topology's distance order), else the cyclic neighbors of the
+// TestSweepLane pins the steal-sweep order: the cyclic neighbors of the
 // home lane.
 func TestSweepLane(t *testing.T) {
 	q := New(1, WithLanes(4))
@@ -318,16 +284,10 @@ func TestSweepLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := []int{3, 0, 2}
-	for off := 1; off < 4; off++ {
-		if got, want := h.sweepLane(off, order), order[off-1]; got != want {
-			t.Errorf("sweepLane(%d, order) = %d, want %d", off, got, want)
-		}
-	}
 	want := []int{2, 3, 0}
 	for off := 1; off < 4; off++ {
-		if got := h.sweepLane(off, nil); got != want[off-1] {
-			t.Errorf("sweepLane(%d, nil) = %d, want %d", off, got, want[off-1])
+		if got := h.sweepLane(off); got != want[off-1] {
+			t.Errorf("sweepLane(%d) = %d, want %d", off, got, want[off-1])
 		}
 	}
 }
