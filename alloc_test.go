@@ -1,7 +1,7 @@
 package wfqueue_test
 
 // Allocation behavior of the public generic facade: after warm-up, the
-// box-recycling path (wfqueue.go getBox/putBox) makes Enqueue/Dequeue of
+// box-recycling path (box.go getBox/putBox) makes Enqueue/Dequeue of
 // any fixed-size T — and the batched variants — allocation-free, and the
 // shared sync.Pool keeps cross-handle producer/consumer splits from
 // allocating per value.
@@ -14,6 +14,30 @@ import (
 
 	"wfqueue"
 )
+
+// mallocs returns the heap allocations (MemStats.Mallocs) made across runs
+// calls of f, measured as testing.AllocsPerRun does (GOMAXPROCS 1, one
+// warm-up call first) but reported for the whole window: AllocsPerRun
+// divides by runs and rounds down, so a window that allocates one segment
+// every few pairs reads 0 there. MemStats is process-wide, and now and then
+// another goroutine (the runtime, the test runner) allocates
+// inside a window; an allocation on f's own path lands in every window, so
+// the fewest over three windows is exact for it.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := ^uint64(0)
+	for w := 0; w < 3 && least != 0; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
 
 func setFinalizer[T any](v *T, f func(*T)) { runtime.SetFinalizer(v, f) }
 
@@ -30,15 +54,14 @@ func eventuallyCollected(ch <-chan struct{}) bool {
 	return false
 }
 
-// warmAllocQueue builds a recycling queue with tiny segments and runs
+// warmAllocQueue builds a queue with tiny segments and runs
 // enough pairs to populate the segment pool and the handle's box free
 // list.
 func warmAllocQueue[T any](t *testing.T, v T) (*wfqueue.Queue[T], *wfqueue.Handle[T]) {
 	t.Helper()
 	q := wfqueue.New[T](2,
 		wfqueue.WithSegmentShift(4),
-		wfqueue.WithMaxGarbage(1),
-		wfqueue.WithRecycling(true))
+		wfqueue.WithMaxGarbage(1))
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +80,11 @@ func TestFacadeZeroAllocPointer(t *testing.T) {
 	x := new(int)
 	_, h := warmAllocQueue(t, x)
 	defer h.Release()
-	allocs := testing.AllocsPerRun(10000, func() {
+	if n := mallocs(10000, func() {
 		h.Enqueue(x)
 		h.Dequeue()
-	})
-	if allocs != 0 {
-		t.Errorf("Queue[*int] enqueue+dequeue: %v allocs/op after warm-up, want 0", allocs)
+	}); n != 0 {
+		t.Errorf("Queue[*int]: 10000 enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
 	}
 }
 
@@ -72,12 +94,11 @@ func TestFacadeZeroAllocScalar(t *testing.T) {
 	}
 	_, h := warmAllocQueue(t, uint64(7))
 	defer h.Release()
-	allocs := testing.AllocsPerRun(10000, func() {
+	if n := mallocs(10000, func() {
 		h.Enqueue(99)
 		h.Dequeue()
-	})
-	if allocs != 0 {
-		t.Errorf("Queue[uint64] enqueue+dequeue: %v allocs/op after warm-up, want 0", allocs)
+	}); n != 0 {
+		t.Errorf("Queue[uint64]: 10000 enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
 	}
 }
 
@@ -94,12 +115,11 @@ func TestFacadeZeroAllocBatch(t *testing.T) {
 		h.EnqueueBatch(vs)
 		h.DequeueBatch(dst)
 	}
-	allocs := testing.AllocsPerRun(5000, func() {
+	if n := mallocs(5000, func() {
 		h.EnqueueBatch(vs)
 		h.DequeueBatch(dst)
-	})
-	if allocs != 0 {
-		t.Errorf("batched enqueue+dequeue: %v allocs/op after warm-up, want 0", allocs)
+	}); n != 0 {
+		t.Errorf("5000 batched enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
 	}
 }
 
@@ -109,7 +129,7 @@ func TestFacadeZeroAllocBatch(t *testing.T) {
 // intact.
 func TestBoxRecyclingCrossHandle(t *testing.T) {
 	const n = 20000
-	q := wfqueue.New[int](2, wfqueue.WithRecycling(true), wfqueue.WithSegmentShift(4))
+	q := wfqueue.New[int](2, wfqueue.WithSegmentShift(4))
 	prod, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +167,7 @@ func TestBoxRecyclingCrossHandle(t *testing.T) {
 // (Whitebox-by-effect: we can't inspect the boxes, but a GC after the
 // dequeues must be able to collect the values, observed via finalizers.)
 func TestBoxZeroedOnRecycle(t *testing.T) {
-	q := wfqueue.New[*int](1, wfqueue.WithRecycling(true))
+	q := wfqueue.New[*int](1)
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)

@@ -42,6 +42,5 @@ func TestFacadeConformanceWF0TinySegments(t *testing.T) {
 	qtest.Battery(t, facadeMaker(
 		wfqueue.WithPatience(0),
 		wfqueue.WithSegmentShift(3),
-		wfqueue.WithMaxGarbage(1),
-		wfqueue.WithRecycling(true)))
+		wfqueue.WithMaxGarbage(1)))
 }

@@ -209,17 +209,6 @@ func BenchmarkAblationSegmentSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRecycling compares GC-freed segments against the pooled
-// reuse that emulates the paper's manual reclamation (§3.6).
-func BenchmarkAblationRecycling(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		b.Run(fmt.Sprintf("recycle=%v", on), func(b *testing.B) {
-			q := wfqueue.New[int](4, wfqueue.WithRecycling(on), wfqueue.WithSegmentShift(6))
-			benchFacadePairs(b, q, 4)
-		})
-	}
-}
-
 // BenchmarkShardedLanes compares the sharded queue (one lane, and its
 // default lane per CPU) against the single-queue wf-10 under the pairs
 // workload (EXPERIMENTS.md sharded section): on a many-core host the

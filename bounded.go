@@ -30,10 +30,7 @@ var ErrFull = scq.ErrFull
 // step count through the helping layer documented in DESIGN.md §7.
 type BoundedQueue[T any] struct {
 	q *scq.Queue
-	// boxes recycles the heap cells values travel through, exactly like
-	// Queue[T].boxes: handles keep a private free list and fall back to this
-	// shared Pool only when production and consumption are imbalanced across
-	// handles.
+	// boxes is the shared spill for the handles' value boxes (boxCache).
 	boxes sync.Pool
 }
 
@@ -47,7 +44,7 @@ func NewBounded[T any](maxHandles, capacity int) (*BoundedQueue[T], error) {
 		return nil, err
 	}
 	bq := &BoundedQueue[T]{q: q}
-	bq.boxes.New = func() any { return new(T) }
+	bq.boxes.New = newBox[T]
 	return bq, nil
 }
 
@@ -62,7 +59,7 @@ func (q *BoundedQueue[T]) Register() (*BoundedHandle[T], error) {
 		}
 		return nil, err
 	}
-	hh := &BoundedHandle[T]{qt: q, h: h, free: make([]*T, 0, boxFreeListCap)}
+	hh := &BoundedHandle[T]{h: h, boxCache: newBoxCache[T](&q.boxes)}
 	runtime.SetFinalizer(hh, func(hh *BoundedHandle[T]) { hh.release() })
 	return hh, nil
 }
@@ -87,33 +84,9 @@ func (q *BoundedQueue[T]) Stats() map[string]uint64 { return q.q.Stats() }
 // BoundedQueue. A BoundedHandle must be used by at most one goroutine at a
 // time.
 type BoundedHandle[T any] struct {
-	qt       *BoundedQueue[T]
 	h        *scq.Handle
 	released atomic.Bool
-	// free is this handle's LIFO of recycled value boxes, bounded by
-	// boxFreeListCap with spill to the shared Pool (see Handle[T].free).
-	free []*T
-}
-
-// getBox and putBox mirror Handle[T]'s box recycling.
-func (h *BoundedHandle[T]) getBox() *T {
-	if n := len(h.free) - 1; n >= 0 {
-		b := h.free[n]
-		h.free[n] = nil
-		h.free = h.free[:n]
-		return b
-	}
-	return h.qt.boxes.Get().(*T)
-}
-
-func (h *BoundedHandle[T]) putBox(b *T) {
-	var zero T
-	*b = zero
-	if len(h.free) < cap(h.free) {
-		h.free = append(h.free, b)
-		return
-	}
-	h.qt.boxes.Put(b)
+	boxCache[T]
 }
 
 func (h *BoundedHandle[T]) check() {

@@ -229,8 +229,7 @@ func TestCoalesceZeroAlloc(t *testing.T) {
 	q := wfqueue.New[uint64](1,
 		wfqueue.WithCoalescing(16),
 		wfqueue.WithSegmentShift(4),
-		wfqueue.WithMaxGarbage(1),
-		wfqueue.WithRecycling(true))
+		wfqueue.WithMaxGarbage(1))
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +239,10 @@ func TestCoalesceZeroAlloc(t *testing.T) {
 		h.Enqueue(uint64(i))
 		h.Dequeue()
 	}
-	allocs := testing.AllocsPerRun(10000, func() {
+	if n := mallocs(10000, func() {
 		h.Enqueue(99)
 		h.Dequeue()
-	})
-	if allocs != 0 {
-		t.Errorf("coalesced enqueue+dequeue: %v allocs/op after warm-up, want 0", allocs)
+	}); n != 0 {
+		t.Errorf("10000 coalesced enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
 	}
 }

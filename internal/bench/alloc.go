@@ -119,10 +119,10 @@ func formatStack(stk [32]uintptr) string {
 }
 
 // SteadyStateAllocs measures the heap allocations of the core queue's
-// enqueue/dequeue hot path at steady state, with recycling on and segments
-// small enough (shift 6, maxGarbage 1) that the measured window crosses
-// many segment boundaries — so the number proves segment recycling, not
-// just in-segment cell reuse. The queue is warmed through one full
+// enqueue/dequeue hot path at steady state, with segments small enough
+// (shift 6, maxGarbage 1) that the measured window crosses many segment
+// boundaries — so the number proves segment recycling, not just
+// in-segment cell reuse. The queue is warmed through one full
 // reclamation cycle first, then ops enqueue/dequeue pairs run on a single
 // goroutine, counting the allocations made under a queue frame
 // (queueAllocs). The allocation behavior of the data structure is
@@ -134,8 +134,7 @@ func SteadyStateAllocs(ops int) SteadyStateResult {
 	}
 	q := core.New(1,
 		core.WithSegmentShift(6),
-		core.WithMaxGarbage(1),
-		core.WithRecycling(true))
+		core.WithMaxGarbage(1))
 	h, err := q.Register()
 	if err != nil {
 		panic(err) // cannot happen: fresh queue, first handle
@@ -238,7 +237,6 @@ func CoalesceSteadyStateAllocs(ops, window int) SteadyStateResult {
 	q := core.New(1,
 		core.WithSegmentShift(6),
 		core.WithMaxGarbage(1),
-		core.WithRecycling(true),
 		core.WithCoalescing(window))
 	h, err := q.Register()
 	if err != nil {
@@ -288,7 +286,7 @@ func ShardedSteadyStateAllocs(ops int) SteadyStateResult {
 		ops = 1
 	}
 	q := sharded.New(4, sharded.WithLanes(4),
-		sharded.WithCoreOptions(core.WithSegmentShift(6), core.WithMaxGarbage(1), core.WithRecycling(true)))
+		sharded.WithCoreOptions(core.WithSegmentShift(6), core.WithMaxGarbage(1)))
 	// One handle per lane, all driven by this goroutine in rotation: every
 	// lane keeps receiving enqueues, so the cells the EMPTY sweeps poison on
 	// foreign lanes are continually passed by that lane's own T and the

@@ -250,10 +250,10 @@ type Counters struct {
 	Cleanups      uint64 // reclamation passes that freed at least one segment
 	Segments      uint64 // segments linked into the list by this handle
 
-	// Memory-path instrumentation (WithRecycling): where newSegment got
-	// its segment from. SegAllocs counts fresh heap allocations; the two
-	// hit counters count reuses, so SegAllocs stabilizing while the hit
-	// counters grow is the observable form of the zero-allocation claim.
+	// Memory-path instrumentation: where newSegment got its segment from.
+	// SegAllocs counts fresh heap allocations; the two hit counters count
+	// reuses, so SegAllocs stabilizing while the hit counters grow is the
+	// observable form of the zero-allocation claim.
 	SegCacheHits uint64 // segments reused from the per-handle cache
 	SegPoolHits  uint64 // segments reused from the shared lock-free pool
 	SegAllocs    uint64 // segments freshly heap-allocated
@@ -331,13 +331,11 @@ type Queue struct {
 	patience   int
 	maxSpin    int
 	maxGarbage int64
-	recycle    bool
 	coalesce   int
 
 	handles []*Handle
 
-	// pool recycles retired segments without locks (only with
-	// WithRecycling; nil otherwise). See segpool.go.
+	// pool recycles retired segments without locks. See segpool.go.
 	pool *segPool
 
 	_ pad.CacheLinePad
@@ -362,7 +360,6 @@ type config struct {
 	patience   int
 	maxSpin    int
 	maxGarbage int64
-	recycle    bool
 	coalesce   int
 }
 
@@ -413,14 +410,6 @@ func WithMaxGarbage(g int64) Option {
 	}
 }
 
-// WithRecycling reuses reclaimed segments through an internal pool instead
-// of releasing them to the garbage collector. This emulates the manual
-// reclamation economics of the paper's C implementation; the hazard-pointer
-// protocol of §3.6 is what makes reuse safe.
-func WithRecycling(on bool) Option {
-	return func(c *config) { c.recycle = on }
-}
-
 // ErrTooManyHandles is returned by Register once maxThreads handles are
 // checked out simultaneously.
 var ErrTooManyHandles = errors.New("core: all handles registered; raise maxThreads in New")
@@ -455,14 +444,13 @@ func New(maxThreads int, opts ...Option) *Queue {
 		patience:   cfg.patience,
 		maxSpin:    cfg.maxSpin,
 		maxGarbage: cfg.maxGarbage,
-		recycle:    cfg.recycle,
 		coalesce:   cfg.coalesce,
-	}
-	if cfg.recycle {
-		// A cleanup retires at most the garbage backlog in one pass and
-		// every handle can park one segment in its cache, so this bound
-		// makes steady-state pool overflow (→ GC) essentially impossible.
-		q.pool = newSegPool(int(2*cfg.maxGarbage) + 2*maxThreads)
+		// A cleanup retires at most the garbage backlog in one pass, so
+		// steady-state traffic essentially never overflows the pool (→ GC).
+		// Every handle's cache can hold one more segment, which makes
+		// 2·maxGarbage + 2·maxThreads the most the queue keeps for reuse
+		// (DESIGN.md §3.2).
+		pool: newSegPool(int(2*cfg.maxGarbage) + maxThreads),
 	}
 	s0 := q.newSegment(nil, 0)
 	atomic.StorePointer(&q.q, unsafe.Pointer(s0))

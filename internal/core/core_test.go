@@ -247,12 +247,14 @@ func TestConcurrentMPMCPatienceZero(t *testing.T) {
 	produceConsume(t, q, 4, 4, per)
 }
 
+// TestConcurrentTinySegments runs two-cell segments, the smallest shift:
+// every other operation crosses a segment boundary.
 func TestConcurrentTinySegments(t *testing.T) {
 	per := 5000
 	if testing.Short() {
 		per = 500
 	}
-	q := New(16, WithSegmentShift(2), WithMaxGarbage(1))
+	q := New(16, WithSegmentShift(1), WithMaxGarbage(1))
 	produceConsume(t, q, 4, 4, per)
 }
 
@@ -261,7 +263,7 @@ func TestConcurrentRecycling(t *testing.T) {
 	if testing.Short() {
 		per = 500
 	}
-	q := New(16, WithSegmentShift(2), WithMaxGarbage(1), WithRecycling(true))
+	q := New(16, WithSegmentShift(2), WithMaxGarbage(1))
 	produceConsume(t, q, 4, 4, per)
 	if q.ReclaimedSegments() == 0 {
 		t.Error("tiny segments with MaxGarbage=1 should have reclaimed segments")
@@ -276,7 +278,7 @@ func TestConcurrentRemappedSegments(t *testing.T) {
 	if testing.Short() {
 		per = 500
 	}
-	q := New(16, WithSegmentShift(4), WithMaxGarbage(1), WithRecycling(true), WithPatience(0))
+	q := New(16, WithSegmentShift(4), WithMaxGarbage(1), WithPatience(0))
 	if q.slotRot == 0 && unsafe.Sizeof(uintptr(0)) == 8 {
 		t.Fatal("slot map inactive at shift 4")
 	}

@@ -7,12 +7,12 @@ import (
 
 // FuzzAgainstModel drives arbitrary single-threaded op sequences against a
 // slice model across a configuration chosen by the first two fuzz bytes:
-// data[0] picks the patience, data[1]'s low bits the segment shift and its
-// high bit segment recycling (with maxGarbage=1 and tiny segments, recycled
-// segments are served constantly, so the reuse path — not just fresh
-// allocation — is under the model check). Each op byte selects mod 4:
-// single enqueue, single dequeue, batched enqueue or batched dequeue (batch
-// size from the byte's high bits). `go test` runs the seed corpus;
+// data[0] picks the patience, data[1] the segment shift (with maxGarbage=1
+// and tiny segments, recycled segments are served constantly, so the reuse
+// path — not just fresh allocation — is under the model check; seeds with
+// data[1]'s high bit set date from when it selected recycling). Each op
+// byte selects mod 4: single enqueue, single dequeue, batched enqueue or
+// batched dequeue (batch size from the byte's high bits). `go test` runs the seed corpus;
 // `go test -fuzz=FuzzAgainstModel` explores.
 func FuzzAgainstModel(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5})
@@ -21,8 +21,8 @@ func FuzzAgainstModel(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1})
 	f.Add([]byte{0, 2, 2, 3, 2, 7, 3, 30, 2, 255, 3, 254})
 	f.Add([]byte{1, 1, 2, 2, 1, 3, 3, 0, 2, 6, 1, 3, 7})
-	// Recycling seeds (high bit of data[1]): shift 1–2, heavy cross-boundary
-	// traffic so segments retire and come back mid-sequence.
+	// Shift 1–2 seeds with heavy cross-boundary traffic, so segments retire
+	// and come back mid-sequence.
 	f.Add([]byte{10, 0x81, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
 	f.Add([]byte{0, 0x82, 2, 255, 3, 254, 2, 127, 3, 126, 2, 63, 3, 62})
 	f.Add([]byte{5, 0x81, 2, 30, 1, 1, 1, 3, 14, 0, 0, 1, 1, 2, 6, 3, 200})
@@ -33,14 +33,12 @@ func FuzzAgainstModel(f *testing.F) {
 		}
 		patience := int(data[0] % 11)
 		shift := uint(data[1]%6 + 1)
-		recycle := data[1]&0x80 != 0
 		ops := data[2:]
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
 
-		q := New(2, WithPatience(patience), WithSegmentShift(shift),
-			WithMaxGarbage(1), WithRecycling(recycle))
+		q := New(2, WithPatience(patience), WithSegmentShift(shift), WithMaxGarbage(1))
 		h, err := q.Register()
 		if err != nil {
 			t.Fatal(err)

@@ -137,19 +137,16 @@ func verify(seg **segment, anchor *segment, hz int64) {
 	*seg = t
 }
 
-// freeSegments retires segments [s, e). With recycling they return to the
-// cleaner's one-segment cache and then the shared lock-free pool for
-// newSegment to reuse — safe because the hazard protocol above proved no
-// thread can reach them; otherwise dropping the q.q reference has already
-// made them unreachable and the garbage collector reclaims them.
+// freeSegments retires segments [s, e) to the cleaner's one-segment cache
+// and then the shared lock-free pool for newSegment to reuse — safe because
+// the hazard protocol above proved no thread can reach them. Only a segment
+// that finds the pool full is left to the garbage collector.
 func (q *Queue) freeSegments(h *Handle, s, e *segment) {
 	n := uint64(0)
 	//wfqlint:bounded(SEGS, retires the finite range [s,e): every iteration advances s by exactly one segment (§3.6))
 	for s != e {
 		next := (*segment)(atomic.LoadPointer(&s.next))
-		if q.recycle {
-			q.recycleSegment(h, s)
-		}
+		q.recycleSegment(h, s)
 		s = next
 		n++
 	}

@@ -40,7 +40,7 @@ func TestRecycleBlockedByHazard(t *testing.T) {
 }
 
 func recycleBlockedByHazard(t *testing.T, shift uint) {
-	q := New(2, WithSegmentShift(shift), WithMaxGarbage(1), WithRecycling(true))
+	q := New(2, WithSegmentShift(shift), WithMaxGarbage(1))
 	reader := mustRegister(t, q)
 	worker := mustRegister(t, q)
 
@@ -119,7 +119,7 @@ func recycleHazardRace(t *testing.T, shift uint) {
 		workers = 2
 		pairs   = 4000
 	)
-	q := New(readers+workers, WithSegmentShift(shift), WithMaxGarbage(1), WithRecycling(true))
+	q := New(readers+workers, WithSegmentShift(shift), WithMaxGarbage(1))
 	var readerWG, workerWG sync.WaitGroup
 	var stop atomic.Bool
 

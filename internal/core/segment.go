@@ -9,7 +9,7 @@ import (
 )
 
 // sid atomically reads a segment's id; see newSegment for why this must be
-// atomic when recycling is enabled.
+// atomic.
 func sid(s *segment) int64 { return atomic.LoadInt64(&s.id) }
 
 // slotRotation returns how far findCell rotates a cell's in-segment offset
@@ -35,31 +35,30 @@ func slotRotation(segShift uint) uint {
 	return k
 }
 
-// newSegment allocates (or recycles) a segment with the given id and all
-// cells in the initial (⊥, ⊥e, ⊥d) state. With recycling the handle's
-// one-segment cache is consulted first, then the shared lock-free pool
-// (segpool.go), so the common steady-state case — a thread reusing the
-// segment it itself retired — touches no shared state at all. h is nil
-// only for the initial segment built by New, before any handle exists.
+// newSegment returns a segment with the given id and all cells in the
+// initial (⊥, ⊥e, ⊥d) state, reusing a retired one where it can: the
+// handle's one-segment cache first, then the shared lock-free pool
+// (segpool.go), and only then the heap. The common steady-state case — a
+// thread reusing the segment it itself retired — touches no shared state at
+// all. h is nil only for the initial segment built by New, before any
+// handle exists.
 func (q *Queue) newSegment(h *Handle, id int64) *segment {
-	if q.recycle {
-		s := (*segment)(nil)
-		if h != nil && h.segCache != nil {
-			s, h.segCache = h.segCache, nil
-			ctrInc(&h.stats.SegCacheHits)
-		} else if s = q.pool.pop(); s != nil && h != nil {
-			ctrInc(&h.stats.SegPoolHits)
-		}
-		if s != nil {
-			// id is stored atomically: a cleaner that loaded a reference
-			// to this segment before it was recycled may still read the
-			// id (the read is gated — it can only influence the CAS on
-			// q.I, which then fails — but it must be a defined read).
-			atomic.StoreInt64(&s.id, id)
-			s.next = nil
-			clear(s.cells)
-			return s
-		}
+	s := (*segment)(nil)
+	if h != nil && h.segCache != nil {
+		s, h.segCache = h.segCache, nil
+		ctrInc(&h.stats.SegCacheHits)
+	} else if s = q.pool.pop(); s != nil && h != nil {
+		ctrInc(&h.stats.SegPoolHits)
+	}
+	if s != nil {
+		// id is stored atomically: a cleaner that loaded a reference to
+		// this segment before it was recycled may still read the id (the
+		// read is gated — it can only influence the CAS on q.I, which
+		// then fails — but it must be a defined read).
+		atomic.StoreInt64(&s.id, id)
+		s.next = nil
+		clear(s.cells)
+		return s
 	}
 	if h != nil {
 		ctrInc(&h.stats.SegAllocs)
@@ -68,8 +67,9 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 }
 
 // recycleSegment takes back a retired segment the hazard protocol has
-// proved unreachable: into the handle's cache if empty, else the shared
-// pool, else dropped for the GC (the pool is bounded; see segpool.go).
+// proved unreachable (or a findCell CAS loser no thread ever saw): into the
+// handle's cache if empty, else the shared pool, else — the pool is full —
+// dropped for the GC, which is what keeps retention bounded (segpool.go).
 func (q *Queue) recycleSegment(h *Handle, s *segment) {
 	if h != nil && h.segCache == nil {
 		h.segCache = s
@@ -89,14 +89,13 @@ func (q *Queue) findCell(h *Handle, sp *unsafe.Pointer, cellID int64) *cell {
 	for i := sid(s); i < cellID>>q.segShift; i++ {
 		next := (*segment)(atomic.LoadPointer(&s.next))
 		if next == nil {
-			// The list needs another segment: allocate one and try to
-			// extend the list. A failed CAS means another thread already
-			// extended it; the loser's segment is dropped (GC) or
-			// recycled.
+			// The list needs another segment: get one and try to extend
+			// the list. A failed CAS means another thread already
+			// extended it; the loser's segment goes back to be recycled.
 			tmp := q.newSegment(h, i+1)
 			if atomic.CompareAndSwapPointer(&s.next, nil, unsafe.Pointer(tmp)) {
 				ctrInc(&h.stats.Segments)
-			} else if q.recycle {
+			} else {
 				q.recycleSegment(h, tmp)
 			}
 			next = (*segment)(atomic.LoadPointer(&s.next))

@@ -8,7 +8,7 @@ import (
 )
 
 // segPool is a lock-free, bounded, generation-tagged Treiber stack of
-// recycled segments — the WithRecycling free list. The paper's C
+// recycled segments — the queue's segment free list. The paper's C
 // implementation reuses retired segments through a thread-cached free list;
 // this is the Go analogue, with two properties the hot path needs:
 //

@@ -419,6 +419,51 @@ func TestLiveSegmentWindowBounded(t *testing.T) {
 	}
 }
 
+// TestPoolRetentionBound pins what recycling keeps after a burst: once a
+// default-configured queue has been filled and drained, the segments it
+// holds for reuse — the shared pool plus every handle's one-segment cache —
+// stay within 2·maxGarbage + 2·maxThreads (DESIGN.md §3.2), and a second
+// burst of the same size is served partly from them.
+func TestPoolRetentionBound(t *testing.T) {
+	const maxThreads = 2
+	q := New(maxThreads)
+	hs := []*Handle{mustRegister(t, q), mustRegister(t, q)}
+	burst := 64 * q.SegmentSize()
+	p := box(1)
+	fillDrain := func() {
+		for i := int64(0); i < burst; i++ {
+			q.Enqueue(hs[i&1], p)
+		}
+		for i := int64(0); i < burst; i++ {
+			if _, ok := q.Dequeue(hs[i&1]); !ok {
+				t.Fatalf("dequeue %d of %d: EMPTY", i, burst)
+			}
+		}
+	}
+
+	fillDrain()
+	if q.ReclaimedSegments() < 32 {
+		t.Fatalf("draining %d segments reclaimed only %d", burst/q.SegmentSize(), q.ReclaimedSegments())
+	}
+	pooled := q.pool.size()
+	for _, h := range hs {
+		if h.segCache != nil {
+			pooled++
+		}
+	}
+	if bound := int(2*q.maxGarbage) + 2*maxThreads; pooled > bound {
+		t.Errorf("after the burst drained, %d segments stay pooled, want at most 2·maxGarbage + 2·maxThreads = %d", pooled, bound)
+	}
+
+	before := q.Stats()
+	fillDrain()
+	after := q.Stats()
+	linked, allocated := after.Segments-before.Segments, after.SegAllocs-before.SegAllocs
+	if allocated >= linked {
+		t.Errorf("second burst heap-allocated %d of the %d segments it linked; pooled segments were not reused", allocated, linked)
+	}
+}
+
 // TestCountersCensus asserts, by reflection, that Queue.Stats and
 // Counters.Add carry every Counters field: a counter added to the struct but
 // forgotten in either aggregation fails here.

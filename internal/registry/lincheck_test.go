@@ -272,7 +272,7 @@ func TestLinearizabilityRemappedSegments(t *testing.T) {
 		name := fmt.Sprintf("wf-%d-shift4", patience)
 		t.Run(name, func(t *testing.T) {
 			build := func(n int) qiface.Queue {
-				q, err := newWF(name, n, patience, true, true,
+				q, err := newWF(name, n, patience, true,
 					core.WithSegmentShift(4), core.WithMaxGarbage(1))
 				if err != nil {
 					t.Fatal(err)

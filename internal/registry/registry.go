@@ -13,8 +13,7 @@
 //	chan       buffered Go channel (blocking; Go-native baseline)
 //	lcrq-gc    LCRQ leaving reclamation to the Go GC (ablation)
 //	msqueue-gc MS-Queue leaving reclamation to the Go GC (ablation)
-//	wf-10-recycle  wf-10 with segment recycling (ablation)
-//	wf-10-tiny     wf-10 with recycling, 4-cell segments, maxGarbage=1
+//	wf-10-tiny     wf-10 with 4-cell segments, maxGarbage=1
 //	               (adversarial configuration: every few operations cross a
 //	               segment boundary and most segments served are recycled,
 //	               so the lincheck/fuzz/battery suites exercise the
@@ -110,20 +109,16 @@ var FigureSeries = []string{"wf-10", "wf-0", "faa", "ccqueue", "msqueue", "lcrq"
 func init() {
 	qiface.Register(qiface.Factory{
 		Name: "wf-10", Doc: "paper's wait-free queue, PATIENCE=10", WaitFree: true, ChurnSafe: true,
-		New: func(n int) (qiface.Queue, error) { return newWF("wf-10", n, 10, false, false) },
+		New: func(n int) (qiface.Queue, error) { return newWF("wf-10", n, 10, false) },
 	})
 	qiface.Register(qiface.Factory{
 		Name: "wf-0", Doc: "paper's wait-free queue, PATIENCE=0 (slow-path emphasis)", WaitFree: true, ChurnSafe: true,
-		New: func(n int) (qiface.Queue, error) { return newWF("wf-0", n, 0, false, false) },
+		New: func(n int) (qiface.Queue, error) { return newWF("wf-0", n, 0, false) },
 	})
 	qiface.Register(qiface.Factory{
-		Name: "wf-10-recycle", Doc: "wf-10 with segment recycling (ablation)", WaitFree: true, ChurnSafe: true,
-		New: func(n int) (qiface.Queue, error) { return newWF("wf-10-recycle", n, 10, true, false) },
-	})
-	qiface.Register(qiface.Factory{
-		Name: "wf-10-tiny", Doc: "wf-10, recycling, 4-cell segments, maxGarbage=1 (reclamation stress)", WaitFree: true, ChurnSafe: true,
+		Name: "wf-10-tiny", Doc: "wf-10, 4-cell segments, maxGarbage=1 (reclamation stress)", WaitFree: true, ChurnSafe: true,
 		New: func(n int) (qiface.Queue, error) {
-			return newWF("wf-10-tiny", n, 10, true, false,
+			return newWF("wf-10-tiny", n, 10, false,
 				core.WithSegmentShift(2), core.WithMaxGarbage(1))
 		},
 	})
@@ -204,10 +199,8 @@ type wfAdapter struct {
 	q         *core.Queue
 }
 
-func newWF(name string, n, patience int, recycle, boxed bool, extra ...core.Option) (qiface.Queue, error) {
-	opts := make([]core.Option, 0, 2+len(extra))
-	opts = append(opts, core.WithPatience(patience), core.WithRecycling(recycle))
-	opts = append(opts, extra...)
+func newWF(name string, n, patience int, boxed bool, extra ...core.Option) (qiface.Queue, error) {
+	opts := append([]core.Option{core.WithPatience(patience)}, extra...)
 	return &wfAdapter{name: name, boxed: boxed, q: core.New(n, opts...)}, nil
 }
 
@@ -769,13 +762,11 @@ func (a *simAdapter) Register() (qiface.Ops, error) {
 func NewChecked(name string, n int) (qiface.Queue, error) {
 	switch name {
 	case "wf-10":
-		return newWF(name, n, 10, false, true)
+		return newWF(name, n, 10, true)
 	case "wf-0":
-		return newWF(name, n, 0, false, true)
-	case "wf-10-recycle":
-		return newWF(name, n, 10, true, true)
+		return newWF(name, n, 0, true)
 	case "wf-10-tiny":
-		return newWF(name, n, 10, true, true,
+		return newWF(name, n, 10, true,
 			core.WithSegmentShift(2), core.WithMaxGarbage(1))
 	case "wf-sharded":
 		return newSharded(name, n, true)

@@ -128,7 +128,7 @@ func TestFAAAdapterCounts(t *testing.T) {
 
 func TestWaitFreeFlags(t *testing.T) {
 	waitFree := map[string]bool{
-		"wf-10": true, "wf-0": true, "wf-10-recycle": true, "kpqueue": true, "simqueue": true,
+		"wf-10": true, "wf-0": true, "kpqueue": true, "simqueue": true,
 		"wf-sharded": true, "wf-sharded-1": true,
 		// Coalescing keeps wait-freedom: every buffer bound is compile-time
 		// (CoalesceMaxWindow), so a flush/refill is one bounded batch.
@@ -155,13 +155,12 @@ func TestWaitFreeFlags(t *testing.T) {
 // relaxation is the point.
 func TestOrderingDeclarations(t *testing.T) {
 	want := map[string]qiface.Ordering{
-		"wf-10":         qiface.OrderFIFO,
-		"wf-10-recycle": qiface.OrderFIFO,
-		"lcrq":          qiface.OrderFIFO,
-		"msqueue":       qiface.OrderFIFO,
-		"chan":          qiface.OrderFIFO,
-		"wf-sharded":    qiface.OrderPerProducer,
-		"wf-sharded-1":  qiface.OrderFIFO,
+		"wf-10":        qiface.OrderFIFO,
+		"lcrq":         qiface.OrderFIFO,
+		"msqueue":      qiface.OrderFIFO,
+		"chan":         qiface.OrderFIFO,
+		"wf-sharded":   qiface.OrderPerProducer,
+		"wf-sharded-1": qiface.OrderFIFO,
 		// The single SCQ ring is one linearizable FIFO.
 		"wf-scq": qiface.OrderFIFO,
 		// Coalescing moves an enqueue's visibility point to the flush, so any
@@ -290,7 +289,7 @@ func TestSCQArenaSurvivesRejections(t *testing.T) {
 // reusability of the released slot's capacity.
 func TestChurnSafeContract(t *testing.T) {
 	churnSafe := map[string]bool{
-		"wf-10": true, "wf-0": true, "wf-10-recycle": true, "wf-10-tiny": true,
+		"wf-10": true, "wf-0": true, "wf-10-tiny": true,
 		"wf-sharded": true, "wf-sharded-1": true,
 		"wf-scq":      true,
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,

@@ -18,9 +18,10 @@ import (
 // divergence — a lost value, a doubled value, a wrong lane order — fails
 // the model check.
 //
-// data[0] picks the lane count (1..4), data[1] the core configuration
-// (segment shift low bits, recycling high bit — with maxGarbage=1 and tiny
-// segments the sweep constantly crosses recycled segments). Each op byte:
+// data[0] picks the lane count (1..4), data[1] the segment shift (with
+// maxGarbage=1 and tiny segments the sweep constantly crosses recycled
+// segments; seeds with data[1]'s high bit set date from when it selected
+// recycling). Each op byte:
 // bits 0-1 the operation, bit 2-3 the acting handle, bits 4-7 sizes.
 func FuzzShardedAgainstModel(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5})
@@ -37,7 +38,6 @@ func FuzzShardedAgainstModel(f *testing.F) {
 		}
 		lanes := int(data[0]%4) + 1
 		shift := uint(data[1]%6 + 1)
-		recycle := data[1]&0x80 != 0
 		ops := data[2:]
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -45,7 +45,7 @@ func FuzzShardedAgainstModel(f *testing.F) {
 
 		const nh = 3
 		q := New(nh, WithLanes(lanes), WithCoreOptions(
-			core.WithSegmentShift(shift), core.WithMaxGarbage(1), core.WithRecycling(recycle)))
+			core.WithSegmentShift(shift), core.WithMaxGarbage(1)))
 		hs := make([]*Handle, nh)
 		for i := range hs {
 			h, err := q.RegisterOnLane(i % lanes)

@@ -54,12 +54,7 @@ import (
 // Queue is a wait-free FIFO queue holding values of type T.
 type Queue[T any] struct {
 	q *core.Queue
-	// boxes recycles the heap cells values travel through. The core queue
-	// stores unsafe.Pointer, so the facade boxes each value; recycling the
-	// boxes (each Dequeue returns the box its value arrived in) makes
-	// steady-state Enqueue/Dequeue allocation-free. Handles keep a private
-	// free list and fall back to this shared Pool only when production and
-	// consumption are imbalanced across handles.
+	// boxes is the shared spill for the handles' value boxes (boxCache).
 	boxes sync.Pool
 }
 
@@ -82,10 +77,6 @@ func WithSegmentShift(s uint) Option { return core.WithSegmentShift(s) }
 // dequeue triggers reclamation (default 2×maxHandles).
 func WithMaxGarbage(g int64) Option { return core.WithMaxGarbage(g) }
 
-// WithRecycling reuses reclaimed segments through an internal pool instead
-// of releasing them to the garbage collector.
-func WithRecycling(on bool) Option { return core.WithRecycling(on) }
-
 // WithCoalescing sets the operation-coalescing window (default 1 =
 // disabled): each Handle buffers up to window enqueued values and publishes
 // them through one fetch-and-add, and dequeues harvest runs of values per
@@ -106,7 +97,7 @@ func WithCoalescing(window int) Option { return core.WithCoalescing(window) }
 // the paper; handles can be released and re-registered freely.
 func New[T any](maxHandles int, opts ...Option) *Queue[T] {
 	q := &Queue[T]{q: core.New(maxHandles, opts...)}
-	q.boxes.New = func() any { return new(T) }
+	q.boxes.New = newBox[T]
 	return q
 }
 
@@ -122,10 +113,7 @@ func (q *Queue[T]) Register() (*Handle[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	// The box free list is pre-sized to its cap so putBox's append never
-	// allocates; Register is off the hot path, so the one-time allocation
-	// is paid here.
-	hh := &Handle[T]{q: q.q, qt: q, h: h, cw: q.q.CoalesceWindow(), free: make([]*T, 0, boxFreeListCap)}
+	hh := &Handle[T]{q: q.q, h: h, cw: q.q.CoalesceWindow(), boxCache: newBoxCache[T](&q.boxes)}
 	runtime.SetFinalizer(hh, func(hh *Handle[T]) { hh.release() })
 	return hh, nil
 }
@@ -154,7 +142,6 @@ func (q *Queue[T]) ReclaimedSegments() uint64 { return q.q.ReclaimedSegments() }
 // used by at most one goroutine at a time.
 type Handle[T any] struct {
 	q        *core.Queue
-	qt       *Queue[T]
 	h        *core.Handle
 	released atomic.Bool
 	// cw caches the queue's coalescing window so the batched entry points
@@ -164,49 +151,16 @@ type Handle[T any] struct {
 	// one pointer buffer. Safe because a Handle is single-goroutine by
 	// contract.
 	scratch []unsafe.Pointer
-	// free is this handle's LIFO of recycled value boxes: Dequeue pushes
-	// the box it just emptied, Enqueue pops. A balanced
-	// produce-then-consume workload cycles through a handful of boxes and
-	// never touches the shared Pool. Bounded (boxFreeListCap) so a
-	// consume-heavy handle cannot hoard boxes a producer needs.
-	free []*T
+	// boxCache recycles value boxes: Dequeue returns the box it just
+	// emptied, Enqueue takes one.
+	boxCache[T]
 }
-
-// boxFreeListCap bounds each handle's private box free list. Past it,
-// boxes spill to the queue's shared sync.Pool, which rebalances
-// producer-heavy vs consumer-heavy handles.
-const boxFreeListCap = 256
 
 func (h *Handle[T]) scratchPtrs(n int) []unsafe.Pointer {
 	if cap(h.scratch) < n {
 		h.scratch = make([]unsafe.Pointer, n)
 	}
 	return h.scratch[:n]
-}
-
-// getBox produces an empty value box: from the handle free list, else the
-// shared Pool, else (via Pool.New) the heap. Allocation-free once enough
-// boxes circulate.
-func (h *Handle[T]) getBox() *T {
-	if n := len(h.free) - 1; n >= 0 {
-		b := h.free[n]
-		h.free[n] = nil
-		h.free = h.free[:n]
-		return b
-	}
-	return h.qt.boxes.Get().(*T)
-}
-
-// putBox recycles an emptied box. The box is zeroed first so a recycled
-// box never pins the previous value for the garbage collector.
-func (h *Handle[T]) putBox(b *T) {
-	var zero T
-	*b = zero
-	if len(h.free) < cap(h.free) {
-		h.free = append(h.free, b)
-		return
-	}
-	h.qt.boxes.Put(b)
 }
 
 // check panics when the handle was already released: its core.Handle slot
@@ -220,7 +174,7 @@ func (h *Handle[T]) check() {
 }
 
 // Enqueue appends v to the queue in a bounded number of steps. The value
-// travels in a recycled box (see Queue.boxes), so steady-state enqueues of
+// travels in a recycled box (see boxCache), so steady-state enqueues of
 // any fixed-size T perform zero heap allocations.
 //
 // On a queue built WithCoalescing(w > 1) the value may sit in this handle's

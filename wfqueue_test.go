@@ -148,8 +148,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	q := wfqueue.New[int](2,
 		wfqueue.WithPatience(0),
 		wfqueue.WithSegmentShift(4),
-		wfqueue.WithMaxGarbage(1),
-		wfqueue.WithRecycling(true))
+		wfqueue.WithMaxGarbage(1))
 	h, _ := q.Register()
 	for i := 0; i < 1000; i++ {
 		h.Enqueue(i)
