@@ -28,13 +28,14 @@
 // single-FAA k-cell reservation, or the single-op fallback for baselines.
 //
 // -coalesce swaps the selected queue for its operation-coalescing variant
-// (wf-10 → wf-coalesce, wf-scq → wf-scq-coalesce) and tightens the stress
+// (wf-10 → wf-coalesce; no other queue has one) and tightens the stress
 // audit to exact accounting: producers flush their windows when idle
 // (before parking on backpressure) and once after their last enqueue, so
 // every produced value must come back — the run fails on any loss or
 // duplication, not just duplication, and the per-producer FIFO check
-// audits that coalesced runs never reorder within a producer. Stress mode only: lincheck needs window 1 (run it directly with
-// -queue wf-coalesce-w1), and stall-mode accounting assumes TryEnqueue
+// audits that coalesced runs never reorder within a producer. Stress mode
+// only: lincheck needs window 1 (run it directly with -queue
+// wf-coalesce-w1), and stall-mode accounting assumes TryEnqueue
 // visibility, which buffering defers.
 //
 // -churn makes every stress worker periodically Release its handle and
@@ -126,12 +127,10 @@ func coalesceVariant(name string) string {
 	switch name {
 	case "wf-10", "wf-coalesce":
 		return "wf-coalesce"
-	case "wf-scq", "wf-scq-coalesce":
-		return "wf-scq-coalesce"
 	case "wf-coalesce-w1", "wf-coalesce-w4", "wf-coalesce-w64":
 		return name
 	}
-	fatalf("%s has no operation-coalescing variant (have: wf-10, wf-scq)", name)
+	fatalf("%s has no operation-coalescing variant (have: wf-10)", name)
 	return ""
 }
 

@@ -143,6 +143,18 @@ func TestRejectsCoalesceMisuse(t *testing.T) {
 	}
 }
 
+// The bounded ring has no coalescing variant: -coalesce on wf-scq is an
+// error naming the one queue that has one, not a silent fallthrough.
+func TestRejectsCoalesceBounded(t *testing.T) {
+	out, err := runCLI(t, "-queue", "wf-scq", "-coalesce", "-duration", "100ms")
+	if err == nil {
+		t.Fatalf("wf-scq has no coalescing variant, should fail:\n%s", out)
+	}
+	if want := "wf-scq has no operation-coalescing variant (have: wf-10)"; !strings.Contains(out, want) {
+		t.Errorf("output missing %q:\n%s", want, out)
+	}
+}
+
 func TestRejectsBadBatch(t *testing.T) {
 	if out, err := runCLI(t, "-batch", "0", "-duration", "100ms"); err == nil {
 		t.Fatalf("batch 0 should fail:\n%s", out)

@@ -179,8 +179,7 @@ func RepoConfig(root string) Config {
 				"Register", "RegisterOnLane", "Release",
 			},
 			PkgSCQ: {
-				"TryEnqueue", "Dequeue", "TryEnqueueBatch", "DequeueBatch",
-				"Register", "Release",
+				"TryEnqueue", "Dequeue", "Register", "Release",
 			},
 		},
 	}
@@ -212,8 +211,6 @@ func RepoSymbols() []SymbolDef {
 			Doc: "SCQ ring-ticket budget a helper spends on a peer"},
 		{Name: "SLOW_SPIN", Pkg: PkgSCQ, Const: "slowSpin",
 			Doc: "request-word loads per slow-path round before reclaiming it"},
-		{Name: "CHUNK", Pkg: PkgSCQ, Const: "batchChunk",
-			Doc: "largest multi-ticket reservation of one batched SCQ call"},
 
 		// Model parameters: the quantities the paper's bounds are stated
 		// over. Reference values give the certificate a concrete steps

@@ -78,22 +78,18 @@ func TestRepoObligations(t *testing.T) {
 		// helpPeers' scan and dequeueSlow's donation spin are syntactically
 		// bounded (range over the fixed handle array, constant-capped for)
 		// and so never appear here.
-		// The ticket loops and the per-slot CAS retries live in separate
-		// functions since the batch refactor split claimAt/visitAt out of
-		// enqueue/dequeue; enqueueBatch is the multi-ticket FAA(+k) twin.
+		// Each ticket loop and the per-slot CAS retry of one ticket are
+		// separate obligations: claimAt/visitAt run a ticket's slot protocol
+		// and leave it with a plain return, so the ticket loops in
+		// enqueue/dequeue read as "take a ticket, try its slot".
 		"(*ring).enqueue":       1,
 		"(*ring).claimAt":       1,
-		"(*ring).enqueueBatch":  1,
 		"(*ring).dequeue":       1,
 		"(*ring).visitAt":       1,
 		"(*ring).catchup":       1,
 		"(*Handle).dequeueSlow": 1,
 		"(*Queue).Register":     1,
 		"(*Handle).Release":     1,
-		// The SCQ batch entry points: per-item rounds that each publish or
-		// harvest at least one value, break on ErrFull/EMPTY witnesses.
-		"(*Handle).TryEnqueueBatch": 1,
-		"(*Handle).DequeueBatch":    1,
 		// Operation coalescing (DESIGN.md §8): the dequeue-side flush-retry
 		// loop — at most two rounds, since the single flush empties the
 		// producer buffer.

@@ -59,9 +59,8 @@ type Ops struct {
 	// leave it nil; harnesses call it through WithFlushFallback (or check
 	// nil) whenever a producer goes idle or hands off. Implementations with
 	// coalescing MUST also flush implicitly on Release, so a released
-	// registration never strands values. A Factory whose instances
-	// implement CoalescingProvider with a window > 1 guarantees a non-nil
-	// Flush.
+	// registration never strands values. An implementation that buffers
+	// guarantees a non-nil Flush.
 	Flush func()
 
 	// Release returns the registration these closures belong to, making the
@@ -160,16 +159,6 @@ type CapacityProvider interface {
 type StatsProvider interface {
 	// Stats returns named monotonic counters aggregated across all handles.
 	Stats() map[string]uint64
-}
-
-// CoalescingProvider is implemented by queues whose registrations buffer
-// operations locally and flush them in single-FAA windows. Harnesses use
-// it to discover the window (1 = coalescing disabled, a pure passthrough)
-// and to decide whether producers must Flush on idle.
-type CoalescingProvider interface {
-	// CoalesceWindow returns the configured coalescing window; 1 means
-	// operations are never buffered.
-	CoalesceWindow() int
 }
 
 // Ordering classifies the FIFO guarantee a queue implementation provides,

@@ -1,15 +1,11 @@
 package registry
 
 // Contract tests for the coalescing variants at the registry surface:
-// the qiface.CoalescingProvider window values, the non-nil-Flush guarantee
-// for windows > 1, flush visibility (buffered values are invisible to other
-// registrations until a flush), and the no-strand guarantee of Release.
+// the non-nil-Flush guarantee for windows > 1, flush visibility (buffered
+// values are invisible to other registrations until a flush), and the
+// no-strand guarantee of Release.
 
-import (
-	"testing"
-
-	"wfqueue/internal/qiface"
-)
+import "testing"
 
 var coalesceNames = []struct {
 	name   string
@@ -19,23 +15,16 @@ var coalesceNames = []struct {
 	{"wf-coalesce-w1", 1},
 	{"wf-coalesce-w4", 4},
 	{"wf-coalesce-w64", 64},
-	{"wf-scq-coalesce", 16},
 }
 
-// TestCoalescingProviderContract pins the advertised windows and the
-// qiface contract that a window > 1 guarantees a non-nil Ops.Flush.
-func TestCoalescingProviderContract(t *testing.T) {
+// TestCoalesceFlushContract pins the qiface contract that a buffering
+// registration (window > 1, taken from the table) has a non-nil Ops.Flush,
+// and that every coalescing registration can be released.
+func TestCoalesceFlushContract(t *testing.T) {
 	for _, tc := range coalesceNames {
 		q, err := NewChecked(tc.name, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		cp, ok := q.(qiface.CoalescingProvider)
-		if !ok {
-			t.Fatalf("%s: no CoalescingProvider", tc.name)
-		}
-		if got := cp.CoalesceWindow(); got != tc.window {
-			t.Errorf("%s: CoalesceWindow = %d, want %d", tc.name, got, tc.window)
 		}
 		ops, err := q.Register()
 		if err != nil {
@@ -48,14 +37,6 @@ func TestCoalescingProviderContract(t *testing.T) {
 			t.Errorf("%s: Ops.Release is nil", tc.name)
 		}
 		ops.Release()
-	}
-	// The provider contract reads 1 on the non-coalescing wf variants too.
-	q, err := NewChecked("wf-10", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp, ok := q.(qiface.CoalescingProvider); !ok || cp.CoalesceWindow() != 1 {
-		t.Errorf("wf-10: CoalesceWindow = %v (provider %v), want 1", cp, ok)
 	}
 }
 

@@ -33,8 +33,6 @@
 //	               k-cell single-FAA reservations (per-producer ordering).
 //	               wf-coalesce-w1/-w4/-w64 sweep the window; window 1 is a
 //	               pure passthrough of wf-10 (strict FIFO, lincheck-able)
-//	wf-scq-coalesce      bounded SCQ ring behind an adapter-level coalescing
-//	               window built on the ring's batch reservations
 //
 // Pointer-based queues are adapted to the uint64 currency of qiface through
 // per-thread value arenas: an enqueue writes the value into the next arena
@@ -228,58 +226,26 @@ func (a *wfAdapter) Register() (qiface.Ops, error) {
 // Release (the caller hands the handle's own Release through).
 func buildWFOps(q *core.Queue, h *core.Handle, boxed bool) qiface.Ops {
 	scr := &batchScratch{}
-	deqBatch := func(dst []uint64) int {
-		buf := scr.grow(len(dst))
-		n := q.DequeueBatch(h, buf)
-		for i := 0; i < n; i++ {
-			dst[i] = *(*uint64)(buf[i])
-			buf[i] = nil
-		}
-		return n
-	}
-	if boxed {
-		return qiface.Ops{
-			Enqueue: func(v uint64) { q.Enqueue(h, boxVal(v)) },
-			Dequeue: func() (uint64, bool) {
-				p, ok := q.Dequeue(h)
-				if !ok {
-					return 0, false
-				}
-				return *(*uint64)(p), true
-			},
-			EnqueueBatch: func(vs []uint64) {
-				// One heap backing array for the whole batch amortizes the
-				// boxing allocation the single-op checked adapter pays per
-				// value.
-				vals := make([]uint64, len(vs))
-				copy(vals, vs)
-				buf := scr.grow(len(vs))
-				for i := range vals {
-					buf[i] = unsafe.Pointer(&vals[i])
-				}
-				q.EnqueueBatch(h, buf)
-			},
-			DequeueBatch: deqBatch,
-		}
-	}
-	ar := &arena{}
+	put := valPut(boxed)
 	return qiface.Ops{
-		Enqueue: func(v uint64) { q.Enqueue(h, ptr(ar.put(v))) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Enqueue: func(v uint64) { q.Enqueue(h, put(v)) },
+		Dequeue: func() (uint64, bool) { return unptr(q.Dequeue(h)) },
 		EnqueueBatch: func(vs []uint64) {
 			buf := scr.grow(len(vs))
 			for i, v := range vs {
-				buf[i] = ptr(ar.put(v))
+				buf[i] = put(v)
 			}
 			q.EnqueueBatch(h, buf)
 		},
-		DequeueBatch: deqBatch,
+		DequeueBatch: func(dst []uint64) int {
+			buf := scr.grow(len(dst))
+			n := q.DequeueBatch(h, buf)
+			for i := 0; i < n; i++ {
+				dst[i] = *(*uint64)(buf[i])
+				buf[i] = nil
+			}
+			return n
+		},
 	}
 }
 
@@ -335,57 +301,27 @@ func (a *shardedAdapter) Register() (qiface.Ops, error) {
 		return qiface.Ops{}, err
 	}
 	scr := &batchScratch{}
-	deqBatch := func(dst []uint64) int {
-		buf := scr.grow(len(dst))
-		n := a.q.DequeueBatch(h, buf)
-		for i := 0; i < n; i++ {
-			dst[i] = *(*uint64)(buf[i])
-			buf[i] = nil
-		}
-		return n
-	}
-	if a.boxed {
-		return qiface.Ops{
-			Enqueue: func(v uint64) { a.q.Enqueue(h, boxVal(v)) },
-			Dequeue: func() (uint64, bool) {
-				p, ok := a.q.Dequeue(h)
-				if !ok {
-					return 0, false
-				}
-				return *(*uint64)(p), true
-			},
-			EnqueueBatch: func(vs []uint64) {
-				vals := make([]uint64, len(vs))
-				copy(vals, vs)
-				buf := scr.grow(len(vs))
-				for i := range vals {
-					buf[i] = unsafe.Pointer(&vals[i])
-				}
-				a.q.EnqueueBatch(h, buf)
-			},
-			DequeueBatch: deqBatch,
-			Release:      h.Release,
-		}, nil
-	}
-	ar := &arena{}
+	put := valPut(a.boxed)
 	return qiface.Ops{
-		Enqueue: func(v uint64) { a.q.Enqueue(h, ptr(ar.put(v))) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := a.q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Enqueue: func(v uint64) { a.q.Enqueue(h, put(v)) },
+		Dequeue: func() (uint64, bool) { return unptr(a.q.Dequeue(h)) },
 		EnqueueBatch: func(vs []uint64) {
 			buf := scr.grow(len(vs))
 			for i, v := range vs {
-				buf[i] = ptr(ar.put(v))
+				buf[i] = put(v)
 			}
 			a.q.EnqueueBatch(h, buf)
 		},
-		DequeueBatch: deqBatch,
-		Release:      h.Release,
+		DequeueBatch: func(dst []uint64) int {
+			buf := scr.grow(len(dst))
+			n := a.q.DequeueBatch(h, buf)
+			for i := 0; i < n; i++ {
+				dst[i] = *(*uint64)(buf[i])
+				buf[i] = nil
+			}
+			return n
+		},
+		Release: h.Release,
 	}, nil
 }
 
@@ -464,13 +400,7 @@ func (a *scqAdapter) Register() (qiface.Ops, error) {
 				runtime.Gosched()
 			}
 		},
-		Dequeue: func() (uint64, bool) {
-			p, ok := h.Dequeue()
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Dequeue: func() (uint64, bool) { return unptr(h.Dequeue()) },
 		Release: h.Release,
 	}), nil
 }
@@ -495,28 +425,10 @@ func (a *ofAdapter) Register() (qiface.Ops, error) {
 	if err != nil {
 		return qiface.Ops{}, err
 	}
-	if a.boxed {
-		return qiface.WithBatchFallback(qiface.Ops{
-			Enqueue: func(v uint64) { a.q.Enqueue(h, boxVal(v)) },
-			Dequeue: func() (uint64, bool) {
-				p, ok := a.q.Dequeue(h)
-				if !ok {
-					return 0, false
-				}
-				return *(*uint64)(p), true
-			},
-		}), nil
-	}
-	ar := &arena{}
+	put := valPut(a.boxed)
 	return qiface.WithBatchFallback(qiface.Ops{
-		Enqueue: func(v uint64) { a.q.Enqueue(h, ptr(ar.put(v))) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := a.q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Enqueue: func(v uint64) { a.q.Enqueue(h, put(v)) },
+		Dequeue: func() (uint64, bool) { return unptr(a.q.Dequeue(h)) },
 	}), nil
 }
 
@@ -571,28 +483,10 @@ func (a *msAdapter) Register() (qiface.Ops, error) {
 	if err != nil {
 		return qiface.Ops{}, err
 	}
-	if a.boxed {
-		return qiface.WithBatchFallback(qiface.Ops{
-			Enqueue: func(v uint64) { a.q.Enqueue(h, boxVal(v)) },
-			Dequeue: func() (uint64, bool) {
-				p, ok := a.q.Dequeue(h)
-				if !ok {
-					return 0, false
-				}
-				return *(*uint64)(p), true
-			},
-		}), nil
-	}
-	ar := &arena{}
+	put := valPut(a.boxed)
 	return qiface.WithBatchFallback(qiface.Ops{
-		Enqueue: func(v uint64) { a.q.Enqueue(h, ptr(ar.put(v))) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := a.q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Enqueue: func(v uint64) { a.q.Enqueue(h, put(v)) },
+		Dequeue: func() (uint64, bool) { return unptr(a.q.Dequeue(h)) },
 	}), nil
 }
 
@@ -613,28 +507,10 @@ func (a *ccAdapter) Register() (qiface.Ops, error) {
 	if err != nil {
 		return qiface.Ops{}, err
 	}
-	if a.boxed {
-		return qiface.WithBatchFallback(qiface.Ops{
-			Enqueue: func(v uint64) { a.q.Enqueue(h, boxVal(v)) },
-			Dequeue: func() (uint64, bool) {
-				p, ok := a.q.Dequeue(h)
-				if !ok {
-					return 0, false
-				}
-				return *(*uint64)(p), true
-			},
-		}), nil
-	}
-	ar := &arena{}
+	put := valPut(a.boxed)
 	return qiface.WithBatchFallback(qiface.Ops{
-		Enqueue: func(v uint64) { a.q.Enqueue(h, ptr(ar.put(v))) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := a.q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Enqueue: func(v uint64) { a.q.Enqueue(h, put(v)) },
+		Dequeue: func() (uint64, bool) { return unptr(a.q.Dequeue(h)) },
 	}), nil
 }
 
@@ -655,28 +531,10 @@ func (a *kpAdapter) Register() (qiface.Ops, error) {
 	if err != nil {
 		return qiface.Ops{}, err
 	}
-	if a.boxed {
-		return qiface.WithBatchFallback(qiface.Ops{
-			Enqueue: func(v uint64) { a.q.Enqueue(h, boxVal(v)) },
-			Dequeue: func() (uint64, bool) {
-				p, ok := a.q.Dequeue(h)
-				if !ok {
-					return 0, false
-				}
-				return *(*uint64)(p), true
-			},
-		}), nil
-	}
-	ar := &arena{}
+	put := valPut(a.boxed)
 	return qiface.WithBatchFallback(qiface.Ops{
-		Enqueue: func(v uint64) { a.q.Enqueue(h, ptr(ar.put(v))) },
-		Dequeue: func() (uint64, bool) {
-			p, ok := a.q.Dequeue(h)
-			if !ok {
-				return 0, false
-			}
-			return *(*uint64)(p), true
-		},
+		Enqueue: func(v uint64) { a.q.Enqueue(h, put(v)) },
+		Dequeue: func() (uint64, bool) { return unptr(a.q.Dequeue(h)) },
 	}), nil
 }
 
@@ -775,15 +633,13 @@ func NewChecked(name string, n int) (qiface.Queue, error) {
 	case "wf-scq":
 		return newSCQ(name, n, scqDefaultCapacity, true)
 	case "wf-coalesce":
-		return newWFCoalesce(name, n, coalesceDefaultWindow, true)
+		return newWFCoalesce(name, n, 16, true)
 	case "wf-coalesce-w1":
 		return newWFCoalesce(name, n, 1, true)
 	case "wf-coalesce-w4":
 		return newWFCoalesce(name, n, 4, true)
 	case "wf-coalesce-w64":
 		return newWFCoalesce(name, n, 64, true)
-	case "wf-scq-coalesce":
-		return newSCQCoalesce(name, n, scqDefaultCapacity, coalesceDefaultWindow, true)
 	case "of":
 		return newOF(name, n, true)
 	case "msqueue":

@@ -135,12 +135,10 @@ func TestWaitFreeFlags(t *testing.T) {
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,
 		"wf-coalesce-w64": true,
 		"lcrq":            false, "msqueue": false, "ccqueue": false, "of": false, "faa": false, "chan": false,
-		// Honest flags for the SCQ variants: the ring's enqueue side is
-		// lock-free (threshold-based livelock freedom), and the dequeue-side
-		// helping bound holds under DESIGN.md §7's model, not unconditionally.
+		// Honest flag for the SCQ ring: its enqueue side is lock-free
+		// (threshold-based livelock freedom), and the dequeue-side helping
+		// bound holds under DESIGN.md §7's model, not unconditionally.
 		"wf-scq": false,
-		// The SCQ coalescing wrapper inherits the ring's honest flags.
-		"wf-scq-coalesce": false,
 	}
 	for name, want := range waitFree {
 		f := MustLookup(name)
@@ -170,7 +168,6 @@ func TestOrderingDeclarations(t *testing.T) {
 		"wf-coalesce-w1":  qiface.OrderFIFO,
 		"wf-coalesce-w4":  qiface.OrderPerProducer,
 		"wf-coalesce-w64": qiface.OrderPerProducer,
-		"wf-scq-coalesce": qiface.OrderPerProducer,
 	}
 	for name, o := range want {
 		if got := MustLookup(name).Ordering; got != o {
@@ -292,8 +289,7 @@ func TestChurnSafeContract(t *testing.T) {
 		"wf-10": true, "wf-0": true, "wf-10-tiny": true,
 		"wf-sharded": true, "wf-sharded-1": true,
 		"wf-scq":      true,
-		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,
-		"wf-coalesce-w64": true, "wf-scq-coalesce": true,
+		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true, "wf-coalesce-w64": true,
 		"of": false, "lcrq": false, "lcrq-gc": false, "msqueue": false, "msqueue-gc": false,
 		"ccqueue": false, "kpqueue": false, "faa": false, "simqueue": false, "chan": false,
 	}

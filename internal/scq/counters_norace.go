@@ -11,6 +11,3 @@ func ctrInc(p *uint64) { *p++ }
 
 // ctrLoad reads an instrumentation counter.
 func ctrLoad(p *uint64) uint64 { return *p }
-
-// ctrAdd adds n to an owner-local instrumentation counter.
-func ctrAdd(p *uint64, n uint64) { *p += n }

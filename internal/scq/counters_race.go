@@ -11,6 +11,3 @@ func ctrInc(p *uint64) { atomic.StoreUint64(p, *p+1) }
 
 // ctrLoad reads an instrumentation counter.
 func ctrLoad(p *uint64) uint64 { return atomic.LoadUint64(p) }
-
-// ctrAdd adds n to an owner-local instrumentation counter.
-func ctrAdd(p *uint64, n uint64) { atomic.StoreUint64(p, *p+n) }

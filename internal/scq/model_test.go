@@ -5,51 +5,99 @@ import (
 	"testing"
 )
 
-// TestAgainstModel runs a random single-threaded op sequence against a
+// modelOp is one step of a model-checked op stream: TryEnqueue(v) when enq
+// is set, else Dequeue.
+type modelOp struct {
+	enq bool
+	v   uint64
+}
+
+// checkAgainstModel runs ops single-threaded on a fresh queue against a
 // bounded-slice model: every TryEnqueue/Dequeue outcome must match exactly,
 // including ErrFull and EMPTY.
+func checkAgainstModel(t *testing.T, capReq int, ops []modelOp) {
+	t.Helper()
+	q, err := New(1, capReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := q.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	cap := q.Capacity()
+	var model []uint64
+	for i, op := range ops {
+		if op.enq {
+			err := h.TryEnqueue(box(op.v))
+			if len(model) < cap {
+				if err != nil {
+					t.Fatalf("cap %d op %d: TryEnqueue failed with %d/%d queued: %v", cap, i, len(model), cap, err)
+				}
+				model = append(model, op.v)
+			} else if err == nil {
+				t.Fatalf("cap %d op %d: TryEnqueue succeeded on a full queue", cap, i)
+			}
+			continue
+		}
+		p, ok := h.Dequeue()
+		if len(model) > 0 {
+			if !ok {
+				t.Fatalf("cap %d op %d: EMPTY with %d queued", cap, i, len(model))
+			}
+			if got := unbox(p); got != model[0] {
+				t.Fatalf("cap %d op %d: dequeued %d, want %d", cap, i, got, model[0])
+			}
+			model = model[1:]
+		} else if ok {
+			t.Fatalf("cap %d op %d: dequeued %d from an empty queue", cap, i, unbox(p))
+		}
+	}
+}
+
+// TestAgainstModel checks random coin-flip op streams against the model.
 func TestAgainstModel(t *testing.T) {
 	for _, capReq := range []int{1, 4, 5, 32} {
-		q, err := New(1, capReq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Register()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cap := q.Capacity()
-		var model []uint64
 		rng := rand.New(rand.NewSource(int64(capReq)))
-		for op := 0; op < 50000; op++ {
+		ops := make([]modelOp, 50000)
+		for i := range ops {
 			if rng.Intn(2) == 0 {
-				v := rng.Uint64() >> 1
-				err := h.TryEnqueue(box(v))
-				if len(model) < cap {
-					if err != nil {
-						t.Fatalf("cap %d op %d: TryEnqueue failed with %d/%d queued: %v", cap, op, len(model), cap, err)
-					}
-					model = append(model, v)
-				} else if err == nil {
-					t.Fatalf("cap %d op %d: TryEnqueue succeeded on a full queue", cap, op)
-				}
-			} else {
-				p, ok := h.Dequeue()
-				if len(model) > 0 {
-					if !ok {
-						t.Fatalf("cap %d op %d: EMPTY with %d queued", cap, op, len(model))
-					}
-					if got := unbox(p); got != model[0] {
-						t.Fatalf("cap %d op %d: dequeued %d, want %d", cap, op, got, model[0])
-					}
-					model = model[1:]
-				} else if ok {
-					t.Fatalf("cap %d op %d: dequeued %d from an empty queue", cap, op, unbox(p))
-				}
+				ops[i] = modelOp{enq: true, v: rng.Uint64() >> 1}
 			}
 		}
-		h.Release()
+		checkAgainstModel(t, capReq, ops)
 	}
+}
+
+// maxFuzzOps caps the op stream of one FuzzAgainstModel input.
+const maxFuzzOps = 4096
+
+// FuzzAgainstModel checks coverage-guided op streams against the model.
+// data[0] picks the requested capacity (1..32, so rings of 4 to 32 slots
+// where fills and wraps are cheap to reach); each remaining byte is one op,
+// TryEnqueue when its low bit is clear, else Dequeue. Enqueued values are
+// the op positions, so a lost, duplicated or reordered value cannot match.
+func FuzzAgainstModel(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{4, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1})
+	f.Add(append([]byte{31}, make([]byte, 40)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capReq := int(data[0]&31) + 1
+		data = data[1:]
+		if len(data) > maxFuzzOps {
+			data = data[:maxFuzzOps]
+		}
+		ops := make([]modelOp, len(data))
+		for i, b := range data {
+			ops[i] = modelOp{enq: b&1 == 0, v: uint64(i)}
+		}
+		checkAgainstModel(t, capReq, ops)
+	})
 }
 
 // TestDequeueSlowDirect exercises the published-request path without

@@ -167,40 +167,6 @@ func (r *ring) claimAt(t, idx uint64) bool {
 	}
 }
 
-// enqueueBatch publishes len(idxs) indices with ONE FAA reserving
-// len(idxs) consecutive tail tickets. Per-ticket validation is unchanged:
-// each reserved ticket runs the normal claim protocol once. An index whose
-// ticket was poisoned by an early dequeuer slides to the next reserved
-// ticket, and whatever the reservation cannot hold takes fresh single
-// tickets as a scalar enqueue would — so the indices land on increasing
-// tickets in batch order, and one producer's batch is never reordered. The
-// interleaving is equivalent to scalar enqueuers whose tail FAAs happened
-// back-to-back — every SCQ invariant carries over unchanged. The caller's
-// not-full obligation is the same as enqueue's.
-func (r *ring) enqueueBatch(idxs []uint64) {
-	k := uint64(len(idxs))
-	if k == 0 {
-		return
-	}
-	next := r.tail.Add(k) - k
-	end := next + k
-	//wfqlint:bounded(K, one placement per index: the range is the caller's batch)
-	for _, idx := range idxs {
-		//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: a ticket — reserved or fresh — is abandoned only when a dequeuer poisoned its slot, which implies system-wide progress; at most n of 2n slots hold live entries, so the index lands after bounded interference)
-		for {
-			t := next
-			if t < end {
-				next++
-			} else {
-				t = r.tail.Add(1) - 1
-			}
-			if r.claimAt(t, idx) {
-				break
-			}
-		}
-	}
-}
-
 // dequeue removes the oldest index. ok=false with exhausted=false is a sound
 // EMPTY: the ring held no value at some linearizable point during the call.
 // maxTickets > 0 bounds how many FAA tickets the call may take; when the
@@ -285,47 +251,6 @@ func (r *ring) visitAt(h uint64) (uint64, bool) {
 			return 0, false
 		}
 	}
-}
-
-// dequeueBatch removes up to len(out) indices with ONE FAA reserving
-// len(out) consecutive head tickets. EVERY reserved ticket is visited —
-// skipping one would strand the value a late enqueuer deposits there —
-// and each non-yielding ticket runs the scalar emptiness accounting
-// (tail catchup, threshold decrement). The interleaving is equivalent to
-// len(out) scalar dequeuers whose head FAAs happened back-to-back, so the
-// threshold soundness argument carries over unchanged. Returns the number
-// of indices harvested and whether an EMPTY condition was witnessed at
-// some ticket during the call.
-func (r *ring) dequeueBatch(out []uint64) (n int, empty bool) {
-	if len(out) == 0 {
-		return 0, false
-	}
-	// Empty fast path, as in dequeue: burn no tickets on a proven-empty ring.
-	if r.threshold.Load() < 0 {
-		return 0, true
-	}
-	k := uint64(len(out))
-	h0 := r.head.Add(k) - k
-	//wfqlint:bounded(K, one visitAt per reserved ticket: k = len(out))
-	for j := uint64(0); j < k; j++ {
-		h := h0 + j
-		if idx, got := r.visitAt(h); got {
-			out[n] = idx
-			n++
-			continue
-		}
-		tail := r.tail.Load()
-		if tail <= h+1 {
-			r.catchup(tail, h+1)
-			r.threshold.Add(-1)
-			empty = true
-			continue
-		}
-		if r.threshold.Add(-1) < 0 {
-			empty = true
-		}
-	}
-	return n, empty
 }
 
 // catchup drags tail forward to head after a dequeuer overran it, so the

@@ -33,11 +33,6 @@ const (
 	// slowSpin is how many request-word loads a slow-path dequeuer makes
 	// per round before reclaiming the round for its own attempt.
 	slowSpin = 64
-	// batchChunk is the largest multi-ticket reservation one batched call
-	// makes per FAA: longer batches are chunked, bounding both the
-	// per-handle scratch array and the head/tail overshoot a single
-	// reservation can cause.
-	batchChunk = 64
 )
 
 // Request-word markers (the low reqBits of a handle's deqReq word; the high
@@ -102,10 +97,6 @@ type Handle struct {
 	// (same idiom as the sharded shell pool).
 	life  atomic.Uint64
 	stats counters
-	// idxScratch stages ring indices for the batch operations: a
-	// TryEnqueueBatch chunk's free-slot grabs and a DequeueBatch chunk's
-	// harvested slots. Owner-only, fixed-size, so batches allocate nothing.
-	idxScratch [batchChunk]uint64
 
 	_ pad.CacheLinePad
 	// deqReq is the wCQ-style request word helpers CAS into:
@@ -126,8 +117,6 @@ type counters struct {
 	helpScans    uint64
 	helpDonated  uint64
 	deqDonations uint64
-	enqBatches   uint64 // TryEnqueueBatch chunks published with one tail FAA
-	deqBatches   uint64 // DequeueBatch chunks harvested with one head FAA
 }
 
 // New builds a queue with at least the requested capacity (rounded up to a
@@ -295,8 +284,6 @@ func (q *Queue) Stats() map[string]uint64 {
 		m["help_scans"] += ctrLoad(&h.stats.helpScans)
 		m["help_donated"] += ctrLoad(&h.stats.helpDonated)
 		m["deq_donations"] += ctrLoad(&h.stats.deqDonations)
-		m["enq_batches"] += ctrLoad(&h.stats.enqBatches)
-		m["deq_batches"] += ctrLoad(&h.stats.deqBatches)
 	}
 	return m
 }
