@@ -16,6 +16,7 @@ ci: build vet lint cert-check
 	$(GO) test -race -short -count=1 ./...
 	$(GO) test ./internal/core -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/scq -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
+	$(GO) test . -fuzz FuzzBoundedAgainstModel -fuzztime 10s -run '^$$'
 	cd wfqperf && $(GO) test -count=1 .
 
 build:
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzAgainstModel -fuzztime 30s
 	$(GO) test ./internal/lcrq -fuzz FuzzAgainstModel -fuzztime 30s
 	$(GO) test ./internal/scq -fuzz FuzzAgainstModel -fuzztime 30s
+	$(GO) test . -fuzz FuzzBoundedAgainstModel -fuzztime 30s
 
 stress: | $(ARTIFACTS)
 	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 30s | tee $(ARTIFACTS)/stress_output.txt

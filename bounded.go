@@ -1,49 +1,92 @@
 package wfqueue
 
-// The bounded façade: a typed front for internal/scq, the cache-resident SCQ
-// ring (DESIGN.md §7). Where Queue[T] grows segments without bound when
-// producers outrun consumers, BoundedQueue[T] holds a capacity fixed at
-// construction and pushes back: TryEnqueue returns ErrFull at a linearizable
-// point where all capacity slots held in-flight values. Everything — the two
-// rings, the value slots, the handle pool — is preallocated in NewBounded,
-// so a warm queue's operations perform zero heap allocations and its memory
-// footprint stays flat no matter how far the enqueue side runs ahead.
+// The bounded façade: the same wait-free core as Queue[T] (internal/core,
+// the paper's FAA queue) plus one cache-line-padded occupancy counter
+// (DESIGN.md §7.1). TryEnqueue takes a unit of the counter before it enqueues
+// and gives it back when the counter was already at capacity; Dequeue
+// returns a unit after the core hands it a value. The counter never falls
+// below the number of values in the core, so the queue never holds more
+// than Capacity() values.
+//
+// Capacity bounds the values, not the memory. The core's segments are
+// recycled through its §3.6 reclamation, so memory stays bounded while
+// every handle finishes its operation in bounded time. A handle descheduled
+// inside an operation holds a hazard that pins every segment after it, and
+// the other handles' traffic keeps linking new ones until it resumes.
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
-	"wfqueue/internal/scq"
+	"wfqueue/internal/core"
+	"wfqueue/internal/pad"
 )
 
-// ErrFull is returned by BoundedHandle.TryEnqueue when the queue's capacity
-// slots all hold in-flight values: the backpressure signal of the bounded
-// contract.
-var ErrFull = scq.ErrFull
+// ErrFull is returned by BoundedHandle.TryEnqueue when the queue holds its
+// capacity of values, counting the operations in flight: the backpressure
+// signal of the bounded contract.
+var ErrFull = errors.New("wfqueue: queue full")
 
-// BoundedQueue is a bounded FIFO queue holding values of type T. Unlike
-// Queue[T] it never allocates after construction: a producer that outruns
-// its consumers sees ErrFull instead of heap growth. Dequeues keep a bounded
-// step count through the helping layer documented in DESIGN.md §7.
+const (
+	// minBoundedCapacity is the smallest capacity NewBounded gives out.
+	minBoundedCapacity = 4
+	// maxBoundedCapacity is the largest power of two an int holds, so the
+	// rounded capacity stays a positive int.
+	maxBoundedCapacity = math.MaxInt>>1 + 1
+	// maxBoundedHandles is the core's handle-pool limit (24-bit 1-based
+	// indices, minus one); core.New would clamp anything larger.
+	maxBoundedHandles = 1<<24 - 2
+)
+
+// BoundedQueue is a bounded FIFO queue holding values of type T. A producer
+// that outruns its consumers sees ErrFull instead of an ever longer queue.
+// Both operations run the wait-free core, so TryEnqueue and Dequeue complete
+// in a bounded number of steps, as Queue[T]'s do.
 type BoundedQueue[T any] struct {
-	q *scq.Queue
+	q        *core.Queue
+	capacity int64
 	// boxes is the shared spill for the handles' value boxes (boxCache).
 	boxes sync.Pool
+
+	_ pad.CacheLinePad
+	// n is the occupancy counter: values in the core, plus accepted
+	// enqueues not yet in it, plus dequeues that took a value and have not
+	// yet given their unit back, plus rejected enqueues about to give
+	// theirs back. Every operation touches it, so it has its own line.
+	n atomic.Int64
+	_ pad.CacheLinePad
+	// full counts ErrFull rejections. Only the rejection path writes it.
+	full atomic.Uint64
+	_    pad.CacheLinePad
 }
 
 // NewBounded creates a bounded queue with at least the requested value
-// capacity (rounded up to a power of two, minimum scq.MinCapacity) for up to
-// maxHandles concurrently registered handles. All memory the queue will ever
-// own is allocated here.
+// capacity (rounded up to a power of two, minimum 4) for up to maxHandles
+// concurrently registered handles.
 func NewBounded[T any](maxHandles, capacity int) (*BoundedQueue[T], error) {
-	q, err := scq.New(maxHandles, capacity)
-	if err != nil {
-		return nil, err
+	if maxHandles < 1 {
+		return nil, fmt.Errorf("wfqueue: maxHandles %d < 1", maxHandles)
 	}
-	bq := &BoundedQueue[T]{q: q}
+	if maxHandles > maxBoundedHandles {
+		return nil, fmt.Errorf("wfqueue: maxHandles %d too large", maxHandles)
+	}
+	if capacity < 1 {
+		return nil, fmt.Errorf("wfqueue: capacity %d < 1", capacity)
+	}
+	if capacity > maxBoundedCapacity {
+		return nil, fmt.Errorf("wfqueue: capacity %d too large", capacity)
+	}
+	c := minBoundedCapacity
+	if capacity > c {
+		c = 1 << bits.Len(uint(capacity-1))
+	}
+	bq := &BoundedQueue[T]{q: core.New(maxHandles), capacity: int64(c)}
 	bq.boxes.New = newBox[T]
 	return bq, nil
 }
@@ -54,37 +97,69 @@ func NewBounded[T any](maxHandles, capacity int) (*BoundedQueue[T], error) {
 func (q *BoundedQueue[T]) Register() (*BoundedHandle[T], error) {
 	h, err := q.q.Register()
 	if err != nil {
-		if errors.Is(err, scq.ErrTooManyHandles) {
-			return nil, ErrTooManyHandles
-		}
 		return nil, err
 	}
-	hh := &BoundedHandle[T]{h: h, boxCache: newBoxCache[T](&q.boxes)}
+	hh := &BoundedHandle[T]{q: q, h: h, boxCache: newBoxCache[T](&q.boxes)}
 	runtime.SetFinalizer(hh, func(hh *BoundedHandle[T]) { hh.release() })
 	return hh, nil
 }
 
-// Capacity returns the number of value slots (the rounded-up power of two):
-// the exact retention bound, and the fill level at which TryEnqueue reports
-// ErrFull.
-func (q *BoundedQueue[T]) Capacity() int { return q.q.Capacity() }
+// Capacity returns the most values the queue holds (the rounded-up power of
+// two). TryEnqueue reports ErrFull when the queued values plus the
+// operations in flight reach it.
+func (q *BoundedQueue[T]) Capacity() int { return int(q.capacity) }
 
 // MaxHandles returns the maximum number of concurrently registered handles.
-func (q *BoundedQueue[T]) MaxHandles() int { return q.q.MaxHandles() }
+func (q *BoundedQueue[T]) MaxHandles() int { return q.q.Capacity() }
 
 // Len returns an instantaneous approximation of the queue length. It is
 // exact only while the queue is quiescent.
-func (q *BoundedQueue[T]) Len() int { return q.q.Size() }
+func (q *BoundedQueue[T]) Len() int { return int(min(max(q.n.Load(), 0), q.capacity)) }
 
-// Stats returns the queue's execution-path counters (enqueues, ErrFull
-// rejections, fast/slow/helped dequeues), summed across handles.
-func (q *BoundedQueue[T]) Stats() map[string]uint64 { return q.q.Stats() }
+// Stats returns the queue's execution-path counters, summed across handles:
+//
+//   - enq_fast, enq_slow: core enqueues completed on the fast and slow path
+//   - deq_fast, deq_slow, deq_empty: core dequeues completed on the fast
+//     and slow path, and those that returned EMPTY
+//   - fast_cas_fails, spin_fallbacks: fast-path claims lost, and enqueue
+//     helpers that gave up spinning and yielded
+//   - help_enq, help_deq: slow-path requests served for a peer
+//   - cleanups, segments: reclamation passes that freed a segment, and
+//     segments linked into the core's list
+//   - enq_full: enqueue attempts that met a full queue (TryEnqueue's
+//     ErrFull, and each retry of the blocking Enqueue)
+//
+// The core keys are named as wfqperf's core rung names them; a rejected
+// enqueue never reaches the core, so enq_full is counted here.
+func (q *BoundedQueue[T]) Stats() map[string]uint64 {
+	c := q.q.Stats()
+	return map[string]uint64{
+		"enq_fast": c.EnqFast, "enq_slow": c.EnqSlow,
+		"deq_fast": c.DeqFast, "deq_slow": c.DeqSlow, "deq_empty": c.DeqEmpty,
+		"fast_cas_fails": c.FastCASFails, "spin_fallbacks": c.SpinFallbacks,
+		"help_enq": c.HelpEnq, "help_deq": c.HelpDeq,
+		"cleanups": c.Cleanups, "segments": c.Segments,
+		"enq_full": q.full.Load(),
+	}
+}
+
+// reserve takes one unit of occupancy for an enqueue, or gives it straight
+// back and reports false when the queue was already at capacity.
+func (q *BoundedQueue[T]) reserve() bool {
+	if q.n.Add(1) <= q.capacity {
+		return true
+	}
+	q.n.Add(-1)
+	q.full.Add(1)
+	return false
+}
 
 // BoundedHandle is a registration of one concurrent participant in a
 // BoundedQueue. A BoundedHandle must be used by at most one goroutine at a
 // time.
 type BoundedHandle[T any] struct {
-	h        *scq.Handle
+	q        *BoundedQueue[T]
+	h        *core.Handle
 	released atomic.Bool
 	boxCache[T]
 }
@@ -95,34 +170,35 @@ func (h *BoundedHandle[T]) check() {
 	}
 }
 
-// TryEnqueue appends v to the queue, or returns ErrFull when all capacity
-// slots held in-flight values at a linearizable point during the call — the
-// moment for the caller to shed load, block on its own terms, or drop the
-// value. A rejected value's box is recycled before returning, so even an
-// enqueue loop running entirely against a full queue allocates nothing.
+// TryEnqueue appends v to the queue, or returns ErrFull when the queued
+// values plus the operations in flight reached Capacity() during the call:
+// the moment for the caller to shed load, block on its own terms, or drop
+// the value. A rejection takes no value box, so even an enqueue loop running
+// entirely against a full queue allocates nothing.
 func (h *BoundedHandle[T]) TryEnqueue(v T) error {
 	h.check()
+	if !h.q.reserve() {
+		return ErrFull
+	}
 	b := h.getBox()
 	*b = v
-	if err := h.h.TryEnqueue(unsafe.Pointer(b)); err != nil {
-		h.putBox(b)
-		return err
-	}
+	h.q.q.Enqueue(h.h, unsafe.Pointer(b))
 	return nil
 }
 
-// Enqueue appends v, waiting for a consumer to free a slot when the queue is
+// Enqueue appends v, waiting for a consumer to free room when the queue is
 // full (yielding between attempts). This is a convenience for callers that
-// want blocking backpressure semantics; it spins on ErrFull, so it is not
-// wait-free across a full queue — callers that need a bounded-step enqueue
-// use TryEnqueue and handle ErrFull themselves.
+// want blocking backpressure semantics; it spins on a full queue, so it is
+// not wait-free across one — callers that need a bounded-step enqueue use
+// TryEnqueue and handle ErrFull themselves.
 func (h *BoundedHandle[T]) Enqueue(v T) {
 	h.check()
-	b := h.getBox()
-	*b = v
-	for h.h.TryEnqueue(unsafe.Pointer(b)) != nil {
+	for !h.q.reserve() {
 		runtime.Gosched()
 	}
+	b := h.getBox()
+	*b = v
+	h.q.q.Enqueue(h.h, unsafe.Pointer(b))
 }
 
 // Dequeue removes and returns the oldest value. ok is false when the queue
@@ -130,11 +206,12 @@ func (h *BoundedHandle[T]) Enqueue(v T) {
 // values).
 func (h *BoundedHandle[T]) Dequeue() (v T, ok bool) {
 	h.check()
-	p, ok := h.h.Dequeue()
+	p, ok := h.q.q.Dequeue(h.h)
 	if !ok {
 		var zero T
 		return zero, false
 	}
+	h.q.n.Add(-1)
 	b := (*T)(p)
 	v = *b
 	h.putBox(b)

@@ -1,13 +1,15 @@
 package wfqueue_test
 
-// The bounded façade (bounded.go over internal/scq): capacity semantics
-// (fill to capacity, ErrFull, drain one, retry succeeds), FIFO order across
-// backpressure, zero-allocation operations on a warm ring — including a
-// TryEnqueue loop running entirely against a full queue — and the handle
-// lifecycle contract shared with the unbounded façade.
+// The bounded façade (bounded.go: the core queue plus an occupancy
+// counter): capacity semantics (fill to capacity, ErrFull, drain one, retry
+// succeeds), FIFO order across backpressure, zero-allocation operations on a
+// warm queue — across segment boundaries, and in a TryEnqueue loop running
+// entirely against a full queue — flat retention under a parked consumer,
+// and the handle lifecycle contract shared with the unbounded façade.
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -41,6 +43,9 @@ func TestBoundedFullRetry(t *testing.T) {
 	if err := h.TryEnqueue(99); !errors.Is(err, wfqueue.ErrFull) {
 		t.Fatalf("TryEnqueue at capacity: err = %v, want ErrFull", err)
 	}
+	if n := q.Stats()["enq_full"]; n != 1 {
+		t.Fatalf("enq_full = %d after one rejection, want 1", n)
+	}
 	// Drain one and the retry must succeed; FIFO must hold across the
 	// rejection.
 	if v, ok := h.Dequeue(); !ok || v != 0 {
@@ -58,6 +63,16 @@ func TestBoundedFullRetry(t *testing.T) {
 	if _, ok := h.Dequeue(); ok {
 		t.Fatal("Dequeue on an empty queue returned ok")
 	}
+	st := q.Stats()
+	if st["enq_full"] != 1 {
+		t.Errorf("enq_full = %d after accepted retries, want it still 1", st["enq_full"])
+	}
+	if enqs := st["enq_fast"] + st["enq_slow"]; enqs != 5 {
+		t.Errorf("core enqueues = %d, want the 5 accepted values (a rejection never reaches the core)", enqs)
+	}
+	if q.MaxHandles() != 2 {
+		t.Errorf("MaxHandles = %d, want 2", q.MaxHandles())
+	}
 }
 
 func TestBoundedCapacityRounding(t *testing.T) {
@@ -73,6 +88,12 @@ func TestBoundedCapacityRounding(t *testing.T) {
 	}
 	if _, err := wfqueue.NewBounded[int](1, 0); err == nil {
 		t.Fatal("NewBounded with 0 capacity succeeded")
+	}
+	if _, err := wfqueue.NewBounded[int](1<<24, 4); err == nil {
+		t.Fatal("NewBounded with more handles than the core can index succeeded")
+	}
+	if _, err := wfqueue.NewBounded[int](1, math.MaxInt); err == nil {
+		t.Fatal("NewBounded with a capacity that rounds past math.MaxInt succeeded")
 	}
 }
 
@@ -111,18 +132,32 @@ func TestBoundedZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
 	}
 	q, h := mustBounded[uint64](t, 1, 64)
-	// Warm: several full ring wraps circulate the boxes and cycle the slots.
-	for i := 0; i < 4*q.Capacity(); i++ {
+	// Warm: run pairs until the core has reclaimed segments twice, so the
+	// value boxes circulate and the segment pool and the handle's segment
+	// cache hold what the window below recycles.
+	for i := 0; q.Stats()["cleanups"] < 2; i++ {
+		if i == 1<<20 {
+			t.Fatal("warm-up never reclaimed a segment")
+		}
 		if err := h.TryEnqueue(uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		h.Dequeue()
 	}
+	// A pair moves both core indices one cell on, so the window's 10000
+	// pairs cross about nine boundaries of the default 1024-cell segments:
+	// each one a recycled segment linked in and a reclaimed one let go.
+	before := q.Stats()
 	if n := mallocs(10000, func() {
 		h.TryEnqueue(7)
 		h.Dequeue()
 	}); n != 0 {
 		t.Errorf("BoundedQueue[uint64]: 10000 warm TryEnqueue+Dequeue pairs allocated %d objects, want 0", n)
+	}
+	after := q.Stats()
+	if after["segments"] == before["segments"] || after["cleanups"] == before["cleanups"] {
+		t.Errorf("the window linked %d segments and ran %d reclamation passes, want both > 0",
+			after["segments"]-before["segments"], after["cleanups"]-before["cleanups"])
 	}
 	h.Release()
 }

@@ -185,3 +185,64 @@ func recycleHazardRace(t *testing.T, shift uint) {
 		t.Fatalf("no segment recycled after %d further pairs with every hazard cleared; tiny-segment config broken", witnessPairs)
 	}
 }
+
+// TestHazardStallRetention prices what a bounded queue built on the core
+// gives up against a fixed ring: a handle descheduled inside an operation
+// holds its hazard, and that pins every segment after it while the other
+// handles keep linking new ones. Here at most capacity values are queued
+// throughout, yet N pairs grow the live list by N/S segments (S cells per
+// segment: a pair moves both indices one cell along the same list), and by
+// up to 2N/S when dequeues find the queue empty and burn cells the
+// enqueues must skip. Clearing the hazard gives it all back: the list
+// shrinks to a few segments and the pool plus the handle caches keep at
+// most 2·maxGarbage + 2·maxThreads, the bound TestPoolRetentionBound pins.
+func TestHazardStallRetention(t *testing.T) {
+	const maxThreads, capacity, pairs = 2, 8, 4096
+	q := New(maxThreads, WithSegmentShift(4))
+	stalled := mustRegister(t, q)
+	worker := mustRegister(t, q)
+	segCells := q.SegmentSize()
+	live := func() int64 {
+		return sid((*segment)(atomic.LoadPointer(&worker.tail))) - q.OldestSegmentID() + 1
+	}
+	p := box(1)
+	for i := 0; i < capacity; i++ {
+		q.Enqueue(worker, p)
+	}
+
+	// The stalled handle is mid-operation on segment 0: hazard published.
+	atomic.StoreInt64(&stalled.hzdp, 0)
+	before := live()
+	drive(q, worker, pairs)
+	growth := live() - before
+	t.Logf("hazard held: %d pairs at %d queued grew the live list by %d segments of %d cells", pairs, capacity, growth, segCells)
+	if q.OldestSegmentID() != 0 {
+		t.Fatalf("cleanup advanced the oldest segment to %d past a published hazard", q.OldestSegmentID())
+	}
+	if lo, hi := pairs/segCells, 2*pairs/segCells+2; growth < lo || growth > hi {
+		t.Errorf("live list grew by %d segments under the hazard, want between N/S = %d and 2N/S+2 = %d", growth, lo, hi)
+	}
+
+	// The stalled handle resumes and finishes: hazard cleared. A few more
+	// segments of traffic give cleanup its passes.
+	atomic.StoreInt64(&stalled.hzdp, -1)
+	drive(q, worker, int(4*segCells))
+	t.Logf("hazard cleared: live list %d segments, %d reclaimed in all", live(), q.ReclaimedSegments())
+	if n := live(); n > q.maxGarbage+2 {
+		t.Errorf("live list still %d segments after the hazard cleared, want at most maxGarbage+2 = %d", n, q.maxGarbage+2)
+	}
+	pooled := q.pool.size()
+	for _, h := range []*Handle{stalled, worker} {
+		if h.segCache != nil {
+			pooled++
+		}
+	}
+	if bound := int(2*q.maxGarbage) + 2*maxThreads; pooled > bound {
+		t.Errorf("after the hazard cleared, %d segments stay pooled, want at most 2·maxGarbage + 2·maxThreads = %d", pooled, bound)
+	}
+	for i := 0; i < capacity; i++ {
+		if _, ok := q.Dequeue(worker); !ok {
+			t.Fatalf("backlog value %d lost across the stall", i)
+		}
+	}
+}

@@ -30,8 +30,9 @@ const (
 	Deq
 	// TryEnqFull is a rejected bounded enqueue: the implementation claimed
 	// the queue held its full capacity of values at a linearizable point.
-	// Legal only under CheckBounded, and only in states where the abstract
-	// queue is exactly full.
+	// Legal only under CheckBounded, in states where the abstract queue is
+	// exactly full, and under CheckBoundedInFlight, in states where it is
+	// full once the operations in flight are counted.
 	TryEnqFull
 )
 
@@ -72,7 +73,7 @@ var ErrTooLarge = errors.New("lincheck: history exceeds MaxOps operations")
 // queue: every Enq is legal, and a TryEnqFull op (which claims the queue was
 // full) can never linearize.
 func Check(h History) (bool, error) {
-	return check(h, 0)
+	return check(h, 0, false)
 }
 
 // CheckBounded reports whether the history is linearizable as a FIFO queue
@@ -85,11 +86,33 @@ func CheckBounded(h History, capacity int) (bool, error) {
 	if capacity < 1 {
 		return false, fmt.Errorf("lincheck: CheckBounded capacity %d < 1", capacity)
 	}
-	return check(h, capacity)
+	return check(h, capacity, false)
 }
 
-// check is the shared search entry; capacity 0 means unbounded.
-func check(h History, capacity int) (bool, error) {
+// CheckBoundedInFlight reports whether the history is linearizable as a FIFO
+// queue of the given capacity under the in-flight FULL contract: an Enq is
+// legal only in states holding fewer than capacity values, as in
+// CheckBounded, and a TryEnqFull op linearizes in any state where the queued
+// values plus the other operations whose intervals overlap the rejected call
+// reach capacity. That is the contract of a queue that counts its occupancy
+// in a counter each operation updates outside its linearization point, so
+// FULL is returned with at least capacity − (concurrent operations) values
+// queued.
+//
+// Every overlapping operation counts, linearized or not: a dequeue that has
+// already taken its value still holds its unit of the counter until it
+// gives it back, and the values dequeued after it may force it to
+// linearize before the rejection (TestBoundedInFlightTakenDequeue).
+func CheckBoundedInFlight(h History, capacity int) (bool, error) {
+	if capacity < 1 {
+		return false, fmt.Errorf("lincheck: CheckBoundedInFlight capacity %d < 1", capacity)
+	}
+	return check(h, capacity, true)
+}
+
+// check is the shared search entry; capacity 0 means unbounded, and
+// inFlight selects CheckBoundedInFlight's FULL rule.
+func check(h History, capacity int, inFlight bool) (bool, error) {
 	n := len(h)
 	if n > MaxOps {
 		return false, ErrTooLarge
@@ -104,12 +127,25 @@ func check(h History, capacity int) (bool, error) {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 
 	c := &checker{ops: ops, capacity: capacity, visited: make(map[string]struct{})}
+	if inFlight {
+		c.overlaps = make([]int, n)
+		for i, a := range ops {
+			for j, b := range ops {
+				if i != j && a.Start <= b.End && b.Start <= a.End {
+					c.overlaps[i]++
+				}
+			}
+		}
+	}
 	return c.dfs(0, nil), nil
 }
 
 type checker struct {
 	ops      []Op
 	capacity int // 0: unbounded
+	// overlaps[i] counts the other ops whose intervals overlap op i's; nil
+	// unless the FULL rule counts operations in flight.
+	overlaps []int
 	visited  map[string]struct{}
 }
 
@@ -157,7 +193,7 @@ func (c *checker) dfs(mask uint64, queue []uint64) bool {
 			// ops are start-sorted: no later op can qualify either.
 			break
 		}
-		next, legal := c.apply(op, queue)
+		next, legal := c.apply(i, queue)
 		if !legal {
 			continue
 		}
@@ -168,14 +204,20 @@ func (c *checker) dfs(mask uint64, queue []uint64) bool {
 	return false
 }
 
-// apply returns the queue state after op, and whether op is legal in the
+// apply returns the queue state after op i, and whether it is legal in the
 // given state under the checker's capacity (0: unbounded).
-func (c *checker) apply(op Op, queue []uint64) ([]uint64, bool) {
+func (c *checker) apply(i int, queue []uint64) ([]uint64, bool) {
+	op := c.ops[i]
 	switch {
 	case op.Kind == TryEnqFull:
 		// A full verdict is legal only when the abstract queue holds exactly
-		// its capacity (impossible for an unbounded queue).
-		if c.capacity == 0 || len(queue) != c.capacity {
+		// its capacity (impossible for an unbounded queue), or, under the
+		// in-flight rule, when the overlapping operations make up the rest.
+		held := len(queue)
+		if c.overlaps != nil {
+			held += c.overlaps[i]
+		}
+		if c.capacity == 0 || held < c.capacity {
 			return nil, false
 		}
 		return queue, true

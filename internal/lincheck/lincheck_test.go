@@ -185,6 +185,150 @@ func TestCheckBoundedValidation(t *testing.T) {
 	}
 }
 
+func mustCheckInFlight(t *testing.T, h History, capacity int) bool {
+	t.Helper()
+	ok, err := CheckBoundedInFlight(h, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// TestBoundedInFlightEnqueue: one value queued and one enqueue in flight
+// make a capacity-2 queue full under the in-flight rule. The in-flight
+// enqueue cannot linearize before the rejection (the EMPTY dequeue after it
+// proves its value was not yet queued), so the strict checker rejects.
+func TestBoundedInFlightEnqueue(t *testing.T) {
+	h := History{
+		{Kind: Enq, Value: 1, Start: 0, End: 1, Thread: 0},
+		{Kind: Enq, Value: 2, Start: 10, End: 40, Thread: 1},
+		{Kind: TryEnqFull, Value: 3, Start: 12, End: 14, Thread: 0},
+		{Kind: Deq, Value: 1, OK: true, Start: 16, End: 18, Thread: 0},
+		{Kind: Deq, OK: false, Start: 20, End: 22, Thread: 0},
+		{Kind: Deq, Value: 2, OK: true, Start: 50, End: 52, Thread: 0},
+	}
+	if !mustCheckInFlight(t, h, 2) {
+		t.Error("FULL overlapping an in-flight enqueue rejected")
+	}
+	if mustCheckBounded(t, h, 2) {
+		t.Error("strict checker accepted FULL with one value queued at capacity 2")
+	}
+}
+
+// TestBoundedInFlightTakenDequeue: a dequeue that has taken value 1 but not
+// returned overlaps the rejection. The dequeue of 2 that completes before
+// the rejection forces it to linearize first, so at the rejection only
+// value 3 is queued and no overlapping operation is unlinearized. A
+// counted queue returns FULL here (the slow dequeue still holds its unit),
+// so the in-flight rule counts it anyway.
+func TestBoundedInFlightTakenDequeue(t *testing.T) {
+	h := History{
+		{Kind: Enq, Value: 1, Start: 0, End: 1, Thread: 0},
+		{Kind: Enq, Value: 2, Start: 2, End: 3, Thread: 0},
+		{Kind: Deq, Value: 1, OK: true, Start: 4, End: 40, Thread: 1},
+		{Kind: Deq, Value: 2, OK: true, Start: 10, End: 11, Thread: 0},
+		{Kind: Enq, Value: 3, Start: 12, End: 13, Thread: 0},
+		{Kind: TryEnqFull, Value: 4, Start: 14, End: 15, Thread: 0},
+		{Kind: Deq, Value: 3, OK: true, Start: 50, End: 51, Thread: 0},
+	}
+	if !mustCheckInFlight(t, h, 2) {
+		t.Error("FULL overlapping a dequeue that had taken its value rejected")
+	}
+	if mustCheckBounded(t, h, 2) {
+		t.Error("strict checker accepted FULL with one value queued at capacity 2")
+	}
+}
+
+// TestBoundedInFlightFalseFull: with nothing overlapping, FULL still needs
+// capacity values queued; one overlapping operation makes up one value and
+// no more.
+func TestBoundedInFlightFalseFull(t *testing.T) {
+	alone := History{
+		{Kind: Enq, Value: 1, Start: 0, End: 1},
+		{Kind: TryEnqFull, Value: 2, Start: 2, End: 3},
+		{Kind: Deq, Value: 1, OK: true, Start: 4, End: 5},
+	}
+	if mustCheckInFlight(t, alone, 2) {
+		t.Error("FULL with one value queued and nothing in flight accepted at capacity 2")
+	}
+	if !mustCheckInFlight(t, alone, 1) {
+		t.Error("FULL with the queue exactly full rejected at capacity 1")
+	}
+	short := History{
+		{Kind: Enq, Value: 1, Start: 0, End: 1, Thread: 0},
+		{Kind: Deq, OK: false, Start: 2, End: 20, Thread: 1},
+		{Kind: TryEnqFull, Value: 2, Start: 4, End: 6, Thread: 0},
+	}
+	if mustCheckInFlight(t, short, 3) {
+		t.Error("FULL with one value queued and one operation in flight accepted at capacity 3")
+	}
+}
+
+// TestBoundedInFlightOverAcceptance: the in-flight rule loosens FULL only;
+// no state may hold more than capacity values, however much overlaps.
+func TestBoundedInFlightOverAcceptance(t *testing.T) {
+	sequential := History{
+		{Kind: Enq, Value: 1, Start: 0, End: 1},
+		{Kind: Enq, Value: 2, Start: 2, End: 3},
+		{Kind: Enq, Value: 3, Start: 4, End: 5},
+	}
+	concurrent := History{
+		{Kind: Enq, Value: 1, Start: 0, End: 10, Thread: 0},
+		{Kind: Enq, Value: 2, Start: 0, End: 10, Thread: 1},
+		{Kind: Enq, Value: 3, Start: 0, End: 10, Thread: 2},
+		{Kind: TryEnqFull, Value: 4, Start: 0, End: 10, Thread: 3},
+	}
+	for _, h := range []History{sequential, concurrent} {
+		if mustCheckInFlight(t, h, 2) {
+			t.Errorf("three accepted enqueues accepted at capacity 2: %v", h)
+		}
+		if !mustCheckInFlight(t, h, 3) {
+			t.Errorf("three accepted enqueues rejected at capacity 3: %v", h)
+		}
+	}
+}
+
+// TestBoundedInFlightWeakensStrict: every history the strict checker
+// accepts, the in-flight checker accepts too. Random legal sequential
+// bounded executions are smeared into overlapping intervals, as in
+// TestRandomSmearedHistoriesAccepted.
+func TestBoundedInFlightWeakensStrict(t *testing.T) {
+	const capacity = 2
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		var queue []uint64
+		next := uint64(1)
+		h := make(History, 0, 16)
+		for i := 0; i < 4+rng.Intn(12); i++ {
+			lin := int64(i * 100)
+			start, end := lin-int64(rng.Intn(99)), lin+int64(rng.Intn(99))
+			switch {
+			case len(queue) > 0 && rng.Intn(3) == 0:
+				h = append(h, Op{Kind: Deq, Value: queue[0], OK: true, Start: start, End: end})
+				queue = queue[1:]
+			case len(queue) == capacity:
+				h = append(h, Op{Kind: TryEnqFull, Value: next, Start: start, End: end})
+			default:
+				h = append(h, Op{Kind: Enq, Value: next, Start: start, End: end})
+				queue = append(queue, next)
+				next++
+			}
+		}
+		if !mustCheckBounded(t, h, capacity) {
+			t.Fatalf("trial %d: smeared legal bounded history rejected: %v", trial, h)
+		}
+		if !mustCheckInFlight(t, h, capacity) {
+			t.Fatalf("trial %d: in-flight checker rejected a strictly legal history: %v", trial, h)
+		}
+	}
+}
+
+func TestCheckBoundedInFlightValidation(t *testing.T) {
+	if _, err := CheckBoundedInFlight(nil, 0); err == nil {
+		t.Error("CheckBoundedInFlight accepted capacity 0")
+	}
+}
+
 // TestTryEnqRecording: the ThreadLog helper records accepts as Enq and
 // rejections as TryEnqFull.
 func TestTryEnqRecording(t *testing.T) {
