@@ -14,6 +14,7 @@ all: build vet lint test
 ci: build vet lint cert-check
 	$(GO) test -short -count=1 ./...
 	$(GO) test -race -short -count=1 ./...
+	$(GO) test -count=1 -run 'Recycl|Reclaim|Hazard|TinySegments|RemappedSegments' ./internal/core
 	$(GO) test ./internal/core -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/scq -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
 	$(GO) test . -fuzz FuzzBoundedAgainstModel -fuzztime 10s -run '^$$'

@@ -143,13 +143,18 @@ func (q *BoundedQueue[T]) Stats() map[string]uint64 {
 	}
 }
 
-// reserve takes one unit of occupancy for an enqueue, or gives it straight
-// back and reports false when the queue was already at capacity.
+// reserve takes one unit of occupancy for an enqueue, or reports false
+// when the queue was already at capacity. A load first turns away an
+// enqueue that meets a full counter without writing its line; otherwise
+// the add decides, and a loser gives its unit straight back. Both tests
+// are the same FULL condition: the count before the add is ≥ capacity.
 func (q *BoundedQueue[T]) reserve() bool {
-	if q.n.Add(1) <= q.capacity {
-		return true
+	if q.n.Load() < q.capacity {
+		if q.n.Add(1) <= q.capacity {
+			return true
+		}
+		q.n.Add(-1)
 	}
-	q.n.Add(-1)
 	q.full.Add(1)
 	return false
 }

@@ -75,6 +75,39 @@ func TestBoundedFullRetry(t *testing.T) {
 	}
 }
 
+// TestBoundedRejectAtCapacity pins the reject path on a full queue: each
+// TryEnqueue is turned away with ErrFull and counted once in enq_full, and
+// Len reads Capacity() throughout. Len clamps at Capacity, so the dequeue
+// at the end checks that no rejection left a unit behind.
+func TestBoundedRejectAtCapacity(t *testing.T) {
+	q, h := mustBounded[int](t, 1, 16)
+	defer h.Release()
+	for i := 0; i < q.Capacity(); i++ {
+		if err := h.TryEnqueue(i); err != nil {
+			t.Fatalf("TryEnqueue(%d) on a non-full queue: %v", i, err)
+		}
+	}
+	const n = 1000
+	before := q.Stats()["enq_full"]
+	for i := 0; i < n; i++ {
+		if err := h.TryEnqueue(i); !errors.Is(err, wfqueue.ErrFull) {
+			t.Fatalf("rejection %d: err = %v, want ErrFull", i, err)
+		}
+		if got := q.Len(); got != q.Capacity() {
+			t.Fatalf("Len = %d after rejection %d, want Capacity %d", got, i, q.Capacity())
+		}
+	}
+	if got := q.Stats()["enq_full"] - before; got != n {
+		t.Errorf("enq_full rose by %d over %d rejections, want exactly %d", got, n, n)
+	}
+	if v, ok := h.Dequeue(); !ok || v != 0 {
+		t.Fatalf("Dequeue after the rejections = (%d, %v), want (0, true)", v, ok)
+	}
+	if got := q.Len(); got != q.Capacity()-1 {
+		t.Errorf("Len = %d after one dequeue, want %d", got, q.Capacity()-1)
+	}
+}
+
 func TestBoundedCapacityRounding(t *testing.T) {
 	q, err := wfqueue.NewBounded[int](1, 5)
 	if err != nil {

@@ -300,6 +300,27 @@ func TestFixturePubOrder(t *testing.T) {
 	}
 }
 
+// TestFixturePubFence proves the fence sub-check: a plain publish whose
+// next shared access is a load (helpDeq's shape, and one arm of a branch)
+// is flagged at the store, while a publish that reaches an FAA one call
+// down and a constant clear stay clean.
+func TestFixturePubFence(t *testing.T) {
+	res := fixtureResult(t)
+	ds := diagsIn(res, "puborder", "hazard.go")
+	if len(ds) != 2 {
+		t.Fatalf("want 2 fence diagnostics (HelpPublish, BranchPublish), got %d: %v", len(ds), ds)
+	}
+	for i, want := range []struct {
+		line int
+		next string
+	}{{49, "atomic Load at hazard.go:50"}, {56, "atomic Load at hazard.go:60"}} {
+		if ds[i].Pos.Line != want.line || !strings.Contains(ds[i].Msg, "plain store to hzdp is not ordered by a fence") ||
+			!strings.Contains(ds[i].Msg, want.next) {
+			t.Errorf("diagnostic %d: want plain hzdp store at hazard.go:%d with next access %q, got %s", i, want.line, want.next, ds[i])
+		}
+	}
+}
+
 // TestFixtureCert pins the certificate composition rule end to end: the
 // constant-backed and parameter symbols resolve, Op's bound composes the
 // annotated sweep, the constant-trip loop, and the callee's symbolic
@@ -364,7 +385,7 @@ func TestFixtureTotals(t *testing.T) {
 		"block":       3,
 		"padding":     3, // 2 alignment (386+arm) + 1 layout
 		"annotations": 6, // annbad: bare, unknown verb, cost-less, zero cost, dangling, near miss
-		"puborder":    4, // pub: BadLate, BadCAS, BadPlainPublish, BadGhost
+		"puborder":    6, // pub: BadLate, BadCAS, BadPlainPublish, BadGhost, HelpPublish, BranchPublish
 		"cert":        1, // cert: BadOp's unannotated non-constant loop
 	}
 	got := map[string]int{}

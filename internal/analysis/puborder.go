@@ -28,6 +28,10 @@ import (
 //     release semantics, so the object's initialization may be observed
 //     out of order.
 //
+//   - fence: a plain store to a word other sites access atomically (the
+//     x86 hazard publish) must reach a sync/atomic Add or CompareAndSwap
+//     before any other shared access (puborder_fence.go).
+//
 //   - pairing: every atomic load site names a word that some store (atomic
 //     anywhere, or plain inside an initialization function) actually
 //     writes. A load with no paired store is dead protocol — usually a
@@ -40,10 +44,12 @@ import (
 // init functions) is collected across all analyzed packages. The pass runs
 // once per GOARCH because build tags can select different files per target.
 
-// pubOrder runs the three publication-order sub-checks over pkgs.
+// pubOrder runs the four publication-order sub-checks over pkgs.
 func pubOrder(cfg Config, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	stores := collectWordStores(pkgs)
+	fields := collectAtomicFields(pkgs)
+	idx := buildFuncIndex(pkgs)
 	for _, p := range pkgs {
 		if cfg.Tiers[p.Path] != TierWaitFree {
 			continue
@@ -59,6 +65,7 @@ func pubOrder(cfg Config, pkgs []*Package) []Diagnostic {
 				if !isInitFunc(fd, p.Fset, anns) {
 					diags = append(diags, lateStores(p, fd, anns)...)
 					diags = append(diags, plainPublishes(p, fd, anns)...)
+					diags = append(diags, plainPublishFences(p, fd, anns, fields, idx)...)
 				}
 				diags = append(diags, unpairedLoads(p, fd, anns, stores)...)
 			}

@@ -47,8 +47,13 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 	k := int64(len(vs))
 
 	// §3.6: publish the hazard pointer before touching cells; the FAA
-	// immediately after orders the publication.
-	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.tail))))
+	// immediately after orders the publication (plainHazard).
+	hz := sid((*segment)(atomic.LoadPointer(&h.tail)))
+	if plainHazard {
+		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on T that follows orders it before any cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, hz)
+	}
 	ctrInc(&h.stats.EnqBatchCalls)
 
 	// One FAA reserves cells [i0, i0+k).
@@ -105,7 +110,11 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 		}
 	}
 
-	atomic.StoreInt64(&h.hzdp, -1)
+	if plainHazard {
+		h.hzdp = -1 //wfqlint:allow(atomic, x86 clear: TSO makes it visible only after every earlier cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, -1)
+	}
 }
 
 // DequeueBatch removes up to len(dst) values from the front of the queue,
@@ -135,8 +144,14 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 	}
 	k := int64(len(dst))
 
-	// §3.6: publish the hazard pointer before the operation.
-	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.head))))
+	// §3.6: publish the hazard pointer before the operation; the FAA below
+	// orders the publication (plainHazard).
+	hz := sid((*segment)(atomic.LoadPointer(&h.head)))
+	if plainHazard {
+		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on H that follows orders it before any cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, hz)
+	}
 	ctrInc(&h.stats.DeqBatchCalls)
 
 	// One FAA reserves cells [i0, i0+k).
@@ -185,7 +200,11 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 		}
 	}
 
-	atomic.StoreInt64(&h.hzdp, -1)
+	if plainHazard {
+		h.hzdp = -1 //wfqlint:allow(atomic, x86 clear: TSO makes it visible only after every earlier cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, -1)
+	}
 	q.cleanup(h)
 
 	// Top up interference shortfalls with per-item dequeues (their own

@@ -18,12 +18,19 @@
 //
 // Concurrency notes for the Go port: the paper assumes sequential
 // consistency and relegates fences to its C sources. Go's sync/atomic
-// operations are sequentially consistent, so every access to shared words
-// here is atomic; the algorithm needs no additional barriers. In particular
-// both instances of Dijkstra's protocol (enqueuer reserves cell then checks
-// val / dequeuer marks val then checks enq, §3.4; and the analogous
-// handshake in reclamation, §3.6) are sound under the SC semantics of
-// sync/atomic.
+// operations are sequentially consistent, and every access to a shared word
+// here goes through them, with one exception: on amd64 outside race
+// builds, Enqueue, Dequeue, EnqueueBatch and DequeueBatch publish and
+// clear their hazard id (Handle.hzdp) with plain stores, as the paper's C
+// does (§3.6). An atomic store is an XCHG there, a full fence the paper
+// does not pay; the plain publish is ordered by the FAA each operation
+// issues before touching a cell, and x86 keeps the plain clear after every
+// earlier load. helpDeq's publish, followed by a load rather than an FAA,
+// stays atomic, as do all stores on other architectures (hazard_plain.go,
+// hazard_atomic.go). Both instances of Dijkstra's protocol (enqueuer
+// reserves cell then checks val / dequeuer marks val then checks enq, §3.4;
+// and the analogous handshake in reclamation, §3.6) are sound under these
+// orderings.
 package core
 
 import (
@@ -145,8 +152,8 @@ type Handle struct {
 	// idle) rather than a pointer: cleaners re-resolve the id by walking
 	// the still-linked list, and the owner's own head/tail/locals keep the
 	// segment alive for the GC. Publishing an int64 avoids a GC write
-	// barrier on the two publications every operation performs, the Go
-	// analogue of the paper's fence-free fast path.
+	// barrier on the two hazard stores every operation performs; on x86
+	// they are also plain stores (plainHazard), as in the paper's C.
 	hzdp int64
 
 	_ pad.CacheLinePad

@@ -10,8 +10,14 @@ import (
 // 4.4): it completes within a bounded number of steps regardless of the
 // scheduling of other threads.
 func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
-	// §3.6: publish the hazard pointer before the operation.
-	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.head))))
+	// §3.6: publish the hazard pointer before the operation; deqFast's FAA
+	// orders the publication (plainHazard, hazard_plain.go).
+	hz := sid((*segment)(atomic.LoadPointer(&h.head)))
+	if plainHazard {
+		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on H that follows orders it before any cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, hz)
+	}
 
 	var cellID int64
 	v = topVal
@@ -43,7 +49,11 @@ func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 		ctrInc(&h.stats.DeqEmpty)
 	}
 
-	atomic.StoreInt64(&h.hzdp, -1)
+	if plainHazard {
+		h.hzdp = -1 //wfqlint:allow(atomic, x86 clear: TSO makes it visible only after every earlier cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, -1)
+	}
 	q.cleanup(h)
 
 	if v == emptyVal {
@@ -113,7 +123,9 @@ func (q *Queue) helpDeq(h *Handle, helpee *Handle) {
 	// The hazard pointer is published between reading helpee.head and
 	// re-reading the request state (§3.6): if the segment was reclaimed
 	// before hzdp was set, the request must have completed, which the
-	// state re-read below detects via s.idx != prior.
+	// state re-read below detects via s.idx != prior. This publish stays
+	// atomic on every architecture: the next access is that load of
+	// r.state, and x86 lets a later load pass an earlier plain store.
 	h.scratch[0] = atomic.LoadPointer(&helpee.head)
 	atomic.StoreInt64(&h.hzdp, sid((*segment)(h.scratch[0])))
 	s = atomic.LoadUint64(&r.state)

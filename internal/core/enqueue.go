@@ -14,8 +14,14 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 		panic("core: Enqueue of nil or reserved sentinel")
 	}
 	// §3.6: publish the hazard pointer before the operation; the FAA the
-	// fast path performs immediately after orders the publication.
-	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.tail))))
+	// fast path performs immediately after orders the publication, so on
+	// x86 the store is plain (plainHazard, hazard_plain.go).
+	hz := sid((*segment)(atomic.LoadPointer(&h.tail)))
+	if plainHazard {
+		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on T that follows orders it before any cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, hz)
+	}
 
 	var cellID int64
 	ok := false
@@ -34,7 +40,11 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 		ctrInc(&h.stats.EnqSlow)
 	}
 
-	atomic.StoreInt64(&h.hzdp, -1)
+	if plainHazard {
+		h.hzdp = -1 //wfqlint:allow(atomic, x86 clear: TSO makes it visible only after every earlier cell access; hazard_plain.go)
+	} else {
+		atomic.StoreInt64(&h.hzdp, -1)
+	}
 }
 
 // tryToClaimReq attempts to transition request state s from pending with
