@@ -55,8 +55,8 @@ func eventuallyCollected(ch <-chan struct{}) bool {
 }
 
 // warmAllocQueue builds a queue with tiny segments and runs
-// enough pairs to populate the segment pool and the handle's box free
-// list.
+// enough pairs to populate the spare segment slots and the handle's box
+// free list.
 func warmAllocQueue[T any](t *testing.T, v T) (*wfqueue.Queue[T], *wfqueue.Handle[T]) {
 	t.Helper()
 	q := wfqueue.New[T](2,

@@ -166,8 +166,8 @@ func TestBoundedZeroAlloc(t *testing.T) {
 	}
 	q, h := mustBounded[uint64](t, 1, 64)
 	// Warm: run pairs until the core has reclaimed segments twice, so the
-	// value boxes circulate and the segment pool and the handle's segment
-	// cache hold what the window below recycles.
+	// value boxes circulate and the spare segment slots and the handle's
+	// segment cache hold what the window below recycles.
 	for i := 0; q.Stats()["cleanups"] < 2; i++ {
 		if i == 1<<20 {
 			t.Fatal("warm-up never reclaimed a segment")

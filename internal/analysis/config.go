@@ -123,15 +123,14 @@ func RepoConfig(root string) Config {
 			// The paper's operations (Listings 2-4), the helping paths, the
 			// cell search, and the reclamation/recycling machinery: after
 			// PR 2 none of these may allocate. newSegment is the one
-			// sanctioned allocator (pool-miss fallback) and is excluded.
+			// sanctioned allocator (spare-slot miss fallback) and is excluded.
 			PkgCore: {
 				"Enqueue", "Dequeue", "EnqueueBatch", "DequeueBatch",
 				"enqFast", "enqSlow", "deqFast", "deqSlow",
 				"helpEnq", "helpDeq", "findCell", "enqCommit",
 				"tryToClaimReq", "advanceEndForLinearizability",
 				"cleanup", "update", "verify", "freeSegments",
-				"recycleSegment", "push", "pop", "popNode", "pushNode",
-				"sid",
+				"recycleSegment", "hazardID", "sid",
 				// helpEnq's poll pause, and the exported clamped spin that
 				// idle-polling consumers wait with between EMPTY dequeues.
 				"pause", "Pause",

@@ -63,16 +63,6 @@ func RepoLayoutRules() []LayoutRule {
 			LeadingPad: []string{"T"},
 		},
 		{
-			// The recycling pool's two Treiber tops are CASed by different
-			// operations (pop by newSegment, push by cleanup).
-			Pkg: PkgCore, Struct: "segPool",
-			Gaps: []Gap{
-				{From: "head", To: "free"},
-				{From: "free", To: "nodes"},
-			},
-			LeadingPad: []string{"head"},
-		},
-		{
 			// Per-thread handle: owner-written segment hints, helper-CASed
 			// request words, and owner-local helping/stats state each on
 			// their own lines. The deqReq→next gap is the PR 3 false-sharing

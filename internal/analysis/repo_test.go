@@ -45,8 +45,8 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestRepoObligations pins the wait-freedom obligation list: the helping
-// loops, the reclamation walks, and the pool's lock-free retries must each
-// carry a bounded(reason) annotation, and nothing else in the wait-free
+// loops, the reclamation walks, and the handle pools' lock-free retries must
+// each carry a bounded(reason) annotation, and nothing else in the wait-free
 // packages may need one.
 func TestRepoObligations(t *testing.T) {
 	_, res := repoResult(t)
@@ -60,12 +60,11 @@ func TestRepoObligations(t *testing.T) {
 		"verify":                       1,
 		"(*Queue).freeSegments":        1,
 		"advanceEndForLinearizability": 1,
-		"(*segPool).popNode":           1,
-		"(*segPool).pushNode":          1,
 		"DefaultLanes":                 1,
 		// Handle lifecycle (DESIGN.md §6): the tagged free-list pops and
 		// pushes behind AcquireHandle/Release (core) and the shell pool
-		// (sharded) are the same lock-free retry shape as the segment pool.
+		// (sharded) are lock-free tagged-CAS retries, off every queue
+		// operation's path.
 		"(*Queue).AcquireHandle": 1,
 		"(*Queue).pushHandle":    1,
 		"(*Queue).popShell":      1,

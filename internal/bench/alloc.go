@@ -142,8 +142,8 @@ func SteadyStateAllocs(ops int) SteadyStateResult {
 	v := new(uint64)
 	p := unsafe.Pointer(v)
 
-	// Warm up past the first reclamation so the segment pool and handle
-	// cache are populated: four segments' worth of pairs.
+	// Warm up past the first reclamation so the spare segment slots and
+	// the handle cache are populated: four segments' worth of pairs.
 	warm := 4 << 6
 	for i := 0; i < warm; i++ {
 		q.Enqueue(h, p)

@@ -215,6 +215,29 @@ func TestRunPairsBatchedStats(t *testing.T) {
 	}
 }
 
+// TestSegAllocRate makes the core's heap fallback visible: two goroutines
+// run wf-10 in the pairs and half shapes, and the log reports heap segment
+// allocations (seg_allocs) beside segments linked (segments) per thousand
+// operations. Only reuse is asserted — fewer allocations than links.
+func TestSegAllocRate(t *testing.T) {
+	for _, k := range []workload.Kind{workload.Pairs, workload.HalfHalf} {
+		cfg := smallConfig("wf-10", k, 2)
+		cfg.Ops = 400000
+		cfg.Trials = 1
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		kops := float64(res.Enqueues+res.Dequeues) / 1000
+		allocs, linked := res.QueueStats["seg_allocs"], res.QueueStats["segments"]
+		t.Logf("%s T=2: %.3f seg_allocs/kop, %.3f segments/kop (%d of %d linked segments heap-allocated, %d slot hits, %d cache hits)",
+			k, float64(allocs)/kops, float64(linked)/kops, allocs, linked, res.QueueStats["seg_pool_hits"], res.QueueStats["seg_cache_hits"])
+		if allocs >= linked {
+			t.Errorf("%s: %d of %d linked segments were heap-allocated; none were reused", k, allocs, linked)
+		}
+	}
+}
+
 func TestChurnAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")

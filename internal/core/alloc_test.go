@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -43,8 +42,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	h := mustRegister(t, q)
 	p := box(42)
 
-	// Warm through several reclamation cycles so the pool and the handle
-	// cache hold every segment the steady state needs.
+	// Warm through several reclamation cycles so the spare slots and the
+	// handle cache hold every segment the steady state needs.
 	for i := 0; i < 1024; i++ {
 		q.Enqueue(h, p)
 		q.Dequeue(h)
@@ -83,96 +82,6 @@ func TestSteadyStateZeroAllocsBatch(t *testing.T) {
 	}
 }
 
-// --- segPool whitebox -----------------------------------------------------
-
-func TestSegPoolPushPop(t *testing.T) {
-	p := newSegPool(4)
-	if got := p.pop(); got != nil {
-		t.Fatalf("pop on empty pool = %p, want nil", got)
-	}
-	segs := make([]*segment, 4)
-	for i := range segs {
-		segs[i] = &segment{id: int64(i), cells: make([]cell, 4)}
-		if !p.push(segs[i]) {
-			t.Fatalf("push %d rejected below capacity", i)
-		}
-	}
-	if p.push(&segment{}) {
-		t.Fatal("push accepted past capacity")
-	}
-	if got, want := p.size(), 4; got != want {
-		t.Fatalf("size = %d, want %d", got, want)
-	}
-	// LIFO: segments come back newest-first.
-	for i := 3; i >= 0; i-- {
-		if got := p.pop(); got != segs[i] {
-			t.Fatalf("pop = %p, want segs[%d]=%p", got, i, segs[i])
-		}
-	}
-	if got := p.pop(); got != nil {
-		t.Fatalf("pop on drained pool = %p, want nil", got)
-	}
-}
-
-// TestSegPoolGeneration pins the ABA defense: every successful pop advances
-// the head generation, so a CAS armed with a pre-pop head word can never
-// succeed after the node has cycled through the pool.
-func TestSegPoolGeneration(t *testing.T) {
-	p := newSegPool(2)
-	s := &segment{cells: make([]cell, 4)}
-	p.push(s)
-	g0 := p.head.Load() >> segPoolIdxBits
-	p.pop()
-	p.push(s) // same node index back on top, as in an ABA interleaving
-	g1 := p.head.Load() >> segPoolIdxBits
-	if g1 <= g0 {
-		t.Fatalf("head generation did not advance across pop/re-push: %d -> %d", g0, g1)
-	}
-}
-
-// TestSegPoolConcurrent hammers a tiny pool from many goroutines; every
-// segment pushed must be popped exactly once (no loss, no duplication), the
-// property an ABA corruption would violate.
-func TestSegPoolConcurrent(t *testing.T) {
-	const (
-		workers = 8
-		rounds  = 20000
-	)
-	p := newSegPool(3) // tiny: constant contention and node reuse
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	held := make(map[*segment]int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := &segment{id: int64(w), cells: make([]cell, 1)}
-			for r := 0; r < rounds; r++ {
-				if s != nil && p.push(s) {
-					s = nil
-				}
-				if s == nil {
-					s = p.pop()
-				}
-			}
-			if s != nil {
-				mu.Lock()
-				held[s]++
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for s := p.pop(); s != nil; s = p.pop() {
-		held[s]++
-	}
-	for s, n := range held {
-		if n != 1 {
-			t.Fatalf("segment %p surfaced %d times, want exactly once (ABA duplication)", s, n)
-		}
-	}
-}
-
 // TestSegCacheServesOwner checks the per-handle cache: a cleaner's first
 // reclaimed segment parks in its own cache and the very next segment that
 // handle needs comes from there, touching no shared state.
@@ -190,7 +99,14 @@ func TestSegCacheServesOwner(t *testing.T) {
 	if got := ctrLoad(&h.stats.SegCacheHits); got == 0 {
 		t.Error("no segment was ever served from the handle cache")
 	}
-	if got := ctrLoad(&h.stats.SegAllocs); got > 4 {
-		t.Errorf("steady single-thread traffic heap-allocated %d segments, want a handful at startup only", got)
+	allocs := ctrLoad(&h.stats.SegAllocs)
+	if allocs > 4 {
+		t.Errorf("steady single-thread traffic heap-allocated %d segments, want a handful at startup only", allocs)
+	}
+	// One handle never loses a findCell CAS, so every segment it linked came
+	// from exactly one of the cache, the spare slots, or the heap.
+	cache, slots := ctrLoad(&h.stats.SegCacheHits), ctrLoad(&h.stats.SegPoolHits)
+	if linked := ctrLoad(&h.stats.Segments); cache+slots+allocs != linked {
+		t.Errorf("cache %d + slot %d + heap %d segments != %d linked", cache, slots, allocs, linked)
 	}
 }

@@ -48,7 +48,7 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 
 	// §3.6: publish the hazard pointer before touching cells; the FAA
 	// immediately after orders the publication (plainHazard).
-	hz := sid((*segment)(atomic.LoadPointer(&h.tail)))
+	hz := hazardID(&h.tail)
 	if plainHazard {
 		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on T that follows orders it before any cell access; hazard_plain.go)
 	} else {
@@ -146,7 +146,7 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 
 	// §3.6: publish the hazard pointer before the operation; the FAA below
 	// orders the publication (plainHazard).
-	hz := sid((*segment)(atomic.LoadPointer(&h.head)))
+	hz := hazardID(&h.head)
 	if plainHazard {
 		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on H that follows orders it before any cell access; hazard_plain.go)
 	} else {

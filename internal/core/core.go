@@ -262,7 +262,7 @@ type Counters struct {
 	// reuses, so SegAllocs stabilizing while the hit counters grow is the
 	// observable form of the zero-allocation claim.
 	SegCacheHits uint64 // segments reused from the per-handle cache
-	SegPoolHits  uint64 // segments reused from the shared lock-free pool
+	SegPoolHits  uint64 // segments reused from the shared spare slots
 	SegAllocs    uint64 // segments freshly heap-allocated
 
 	// Batched-operation instrumentation. The FAA counters cover the fast
@@ -342,8 +342,10 @@ type Queue struct {
 
 	handles []*Handle
 
-	// pool recycles retired segments without locks. See segpool.go.
-	pool *segPool
+	// spares holds retired segments for any handle to reuse: each slot is
+	// nil or one segment, taken by swap and filled by CAS from nil
+	// (segment.go). Fixed at New, so every pass over it is bounded.
+	spares []unsafe.Pointer // *segment
 
 	_ pad.CacheLinePad
 	// hfree is the tagged head of the lock-free handle free list
@@ -453,11 +455,11 @@ func New(maxThreads int, opts ...Option) *Queue {
 		maxGarbage: cfg.maxGarbage,
 		coalesce:   cfg.coalesce,
 		// A cleanup retires at most the garbage backlog in one pass, so
-		// steady-state traffic essentially never overflows the pool (→ GC).
+		// steady-state traffic essentially never overflows the slots (→ GC).
 		// Every handle's cache can hold one more segment, which makes
 		// 2·maxGarbage + 2·maxThreads the most the queue keeps for reuse
-		// (DESIGN.md §3.2).
-		pool: newSegPool(int(2*cfg.maxGarbage) + maxThreads),
+		// (DESIGN.md §3.2). The cap only guards an absurd maxGarbage.
+		spares: make([]unsafe.Pointer, min(2*cfg.maxGarbage+int64(maxThreads), 1<<16)),
 	}
 	s0 := q.newSegment(nil, 0)
 	atomic.StorePointer(&q.q, unsafe.Pointer(s0))

@@ -12,7 +12,7 @@ import (
 func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 	// §3.6: publish the hazard pointer before the operation; deqFast's FAA
 	// orders the publication (plainHazard, hazard_plain.go).
-	hz := sid((*segment)(atomic.LoadPointer(&h.head)))
+	hz := hazardID(&h.head)
 	if plainHazard {
 		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on H that follows orders it before any cell access; hazard_plain.go)
 	} else {

@@ -16,7 +16,7 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	// §3.6: publish the hazard pointer before the operation; the FAA the
 	// fast path performs immediately after orders the publication, so on
 	// x86 the store is plain (plainHazard, hazard_plain.go).
-	hz := sid((*segment)(atomic.LoadPointer(&h.tail)))
+	hz := hazardID(&h.tail)
 	if plainHazard {
 		h.hzdp = hz //wfqlint:allow(atomic, x86 publish: the FAA on T that follows orders it before any cell access; hazard_plain.go)
 	} else {

@@ -4,12 +4,11 @@ import "sync/atomic"
 
 // The handle lifecycle: a lock-free, allocation-free free list of the
 // queue's preallocated Handles, replacing the sync.Mutex + slice
-// bookkeeping Register/Release used to serialize on. The structure is the
-// same generation-tagged Treiber stack as the segment pool (segpool.go),
-// with the same ABA argument — handles ARE reused, so a naive pop could
-// observe a stale next link; tagging the head with a generation that every
-// successful pop advances makes a stale CAS fail instead of handing out a
-// checked-out handle. See DESIGN.md §6 for the full lifecycle protocol.
+// bookkeeping Register/Release used to serialize on. The structure is a
+// generation-tagged Treiber stack over the handle array. Handles ARE
+// reused, so a naive pop could observe a stale next link (ABA); tagging the
+// head with a generation that every successful pop advances makes a stale
+// CAS fail instead of handing out a checked-out handle. See DESIGN.md §6 for the full lifecycle protocol.
 //
 // Indices are 24-bit (1-based; 0 terminates), leaving 40 generation bits:
 // 2^40 acquires before wraparound, and the tag only needs to not repeat
@@ -105,8 +104,8 @@ func (h *Handle) Release() {
 }
 
 // pushHandle pushes handle index idx (+1 encoding) onto the free list.
-// Pushes preserve the generation — only pops advance it — mirroring the
-// segment pool's discipline.
+// Pushes preserve the generation — only pops advance it: a push armed with
+// a stale head word just fails its CAS.
 func (q *Queue) pushHandle(idx uint32) {
 	//wfqlint:bounded(RETRY, lock-free CAS retry: a failed CAS means another goroutine completed an acquire or release; the lifecycle is documented as lock-free, not wait-free (DESIGN.md §6), and release is off every queue operation's path)
 	for {

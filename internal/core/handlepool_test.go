@@ -250,7 +250,7 @@ func TestRetiredSlotInvisibleToHelpers(t *testing.T) {
 
 // TestHandlePoolABAGeneration: the tagged head advances its generation on
 // every successful pop, so a slot cycling through acquire/release never
-// reuses a head word (the ABA defense, same as the segment pool's).
+// reuses a head word (the ABA defense).
 func TestHandlePoolABAGeneration(t *testing.T) {
 	q := New(2)
 	prevGen := q.hfree.Load() >> handleIdxBits

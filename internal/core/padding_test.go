@@ -8,7 +8,7 @@ import (
 
 // The cache-line layout this package's performance rests on — T and H on
 // private lines, the helper-CASed request words away from the owner-local
-// fields, the recycling pool's two stack tops apart — is declared once, in
+// fields — is declared once, in
 // analysis.RepoLayoutRules, and proved by wfqlint's padding pass from
 // go/types field offsets. This test is the package-local wrapper: it
 // re-proves the rules for internal/core under every GOARCH the suite

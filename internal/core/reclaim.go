@@ -115,6 +115,24 @@ func update(from *unsafe.Pointer, to **segment, anchor *segment, h *Handle) {
 	}
 }
 
+// hazardID returns the id an operation publishes as its hazard before it
+// walks from the handle's own segment hint at p (h.tail or h.head). The id
+// is read through the hint before anything protects the segment, so a
+// cleaner may meanwhile have moved the hint on, retired the segment, and a
+// handle reused it under a later id; publishing that id would leave the
+// segments the operation is about to walk unprotected. A cleaner moves the
+// hint off a segment before retiring it, so a hint that still holds the
+// same segment vouches for the id. Otherwise the operation publishes 0,
+// which keeps every segment until it finishes.
+func hazardID(p *unsafe.Pointer) int64 {
+	s := atomic.LoadPointer(p)
+	id := sid((*segment)(s))
+	if atomic.LoadPointer(p) != s {
+		return 0
+	}
+	return id
+}
+
 // verify lowers the reclamation target *seg when a hazard publication
 // protects an older segment (paper lines 248-249). Hazard pointers are
 // published as segment ids; the id is resolved back to a segment by walking
@@ -138,14 +156,17 @@ func verify(seg **segment, anchor *segment, hz int64) {
 }
 
 // freeSegments retires segments [s, e) to the cleaner's one-segment cache
-// and then the shared lock-free pool for newSegment to reuse — safe because
-// the hazard protocol above proved no thread can reach them. Only a segment
-// that finds the pool full is left to the garbage collector.
+// and then the spare slots for newSegment to reuse — safe because the
+// hazard protocol above proved no thread can reach them. Each segment's
+// next link is read and cleared before recycleSegment publishes it: another
+// handle may take it from a slot and relink it at once, and a detached
+// segment that finds every slot full pins none of its successors.
 func (q *Queue) freeSegments(h *Handle, s, e *segment) {
 	n := uint64(0)
 	//wfqlint:bounded(SEGS, retires the finite range [s,e): every iteration advances s by exactly one segment (§3.6))
 	for s != e {
 		next := (*segment)(atomic.LoadPointer(&s.next))
+		atomic.StorePointer(&s.next, nil)
 		q.recycleSegment(h, s)
 		s = next
 		n++

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // drive pushes the queue through enough enqueue/dequeue pairs on h to cross
@@ -21,9 +23,9 @@ func drive(q *Queue, h *Handle, pairs int) {
 // TestRecycleBlockedByHazard pins the interleaving the clear(s.cells) in
 // newSegment's recycle path must survive: a slow-path reader still holds
 // segment 0 through an outdated hint while other threads retire it. The
-// hazard protocol must keep the segment out of the recycling pool — and
-// therefore keep clear() from running — for as long as the hazard id is
-// published, and must release it to the pool once the hazard is cleared.
+// hazard protocol must keep the segment out of recycling — and therefore
+// keep clear() from running — for as long as the hazard id is published,
+// and must release it for reuse once the hazard is cleared.
 //
 // The "outdated hint" is constructed literally: the reader's head/tail
 // still point at segment 0 and its hzdp publishes id 0, exactly the state
@@ -194,8 +196,9 @@ func recycleHazardRace(t *testing.T, shift uint) {
 // segment: a pair moves both indices one cell along the same list), and by
 // up to 2N/S when dequeues find the queue empty and burn cells the
 // enqueues must skip. Clearing the hazard gives it all back: the list
-// shrinks to a few segments and the pool plus the handle caches keep at
-// most 2·maxGarbage + 2·maxThreads, the bound TestPoolRetentionBound pins.
+// shrinks to a few segments and the spare slots plus the handle caches
+// keep at most 2·maxGarbage + 2·maxThreads, the bound TestPoolRetentionBound
+// pins.
 func TestHazardStallRetention(t *testing.T) {
 	const maxThreads, capacity, pairs = 2, 8, 4096
 	q := New(maxThreads, WithSegmentShift(4))
@@ -231,7 +234,7 @@ func TestHazardStallRetention(t *testing.T) {
 	if n := live(); n > q.maxGarbage+2 {
 		t.Errorf("live list still %d segments after the hazard cleared, want at most maxGarbage+2 = %d", n, q.maxGarbage+2)
 	}
-	pooled := q.pool.size()
+	pooled := q.spareCount()
 	for _, h := range []*Handle{stalled, worker} {
 		if h.segCache != nil {
 			pooled++
@@ -244,5 +247,210 @@ func TestHazardStallRetention(t *testing.T) {
 		if _, ok := q.Dequeue(worker); !ok {
 			t.Fatalf("backlog value %d lost across the stall", i)
 		}
+	}
+}
+
+// spareCount reports how many spare slots hold a segment (racy while
+// handles run).
+func (q *Queue) spareCount() int {
+	n := 0
+	for i := range q.spares {
+		if atomic.LoadPointer(&q.spares[i]) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRecycleSlotsConcurrent hammers the spare slots from many goroutines.
+// Each round a worker takes two segments through newSegment, stamping them
+// with ids of its own, and gives both back through recycleSegment: one
+// lands in its handle's cache, the other goes through the slots, so every
+// round puts into and takes from the shared array. A segment handed to two
+// goroutines at once would carry the other one's id at the check. After the
+// run every segment still held — in a cache or a slot — surfaces exactly
+// once. A put that finds every slot full drops its segment, so the ledger
+// is: heap allocations = surfaced + dropped.
+func TestRecycleSlotsConcurrent(t *testing.T) {
+	const workers, rounds = 8, 20000
+	q := New(workers, WithSegmentShift(1), WithMaxGarbage(1))
+	hs := make([]*Handle, workers)
+	for w := range hs {
+		hs[w] = mustRegister(t, q)
+	}
+	var wg sync.WaitGroup
+	for w, h := range hs {
+		wg.Add(1)
+		go func(w int64, h *Handle) {
+			defer wg.Done()
+			var held [2]*segment
+			for r := int64(0); r < rounds; r++ {
+				for i := range held {
+					held[i] = q.newSegment(h, w<<32|2*r+int64(i))
+				}
+				for i, s := range held {
+					if got, want := sid(s), w<<32|2*r+int64(i); got != want {
+						t.Errorf("worker %d holds a segment stamped %#x, want %#x: handed out twice", w, got, want)
+						return
+					}
+					q.recycleSegment(h, s)
+				}
+			}
+		}(int64(w), h)
+	}
+	wg.Wait()
+
+	seen := map[*segment]int{}
+	for _, h := range hs {
+		if h.segCache != nil {
+			seen[h.segCache]++
+		}
+	}
+	for i := range q.spares {
+		if s := (*segment)(q.spares[i]); s != nil {
+			seen[s]++
+		}
+	}
+	for s, n := range seen {
+		if n != 1 {
+			t.Errorf("segment %p surfaced %d times, want exactly once", s, n)
+		}
+	}
+	st := q.Stats()
+	dropped := int64(st.SegAllocs) - int64(len(seen))
+	t.Logf("%d slot hits, %d cache hits, %d heap allocations, %d surfaced, %d dropped",
+		st.SegPoolHits, st.SegCacheHits, st.SegAllocs, len(seen), dropped)
+	if dropped < 0 {
+		t.Errorf("%d segments surfaced but only %d were ever allocated", len(seen), st.SegAllocs)
+	}
+	if st.SegPoolHits == 0 {
+		t.Error("no segment was ever taken from a spare slot")
+	}
+}
+
+// TestRecycleCrossHandle is the pipeline shape: one producer-only handle
+// and one consumer-only handle, which is the one that runs cleanup. The
+// producer links most segments but never retires any, so its cache stays
+// empty and everything it reuses must come through the shared slots from
+// the consumer's cleanups. After warm-up the producer stops allocating.
+func TestRecycleCrossHandle(t *testing.T) {
+	const burst, warmup, bursts = 24, 64, 512
+	q := New(2, WithSegmentShift(2))
+	prod, cons := mustRegister(t, q), mustRegister(t, q)
+	p := box(1)
+	run := func(n int) {
+		for b := 0; b < n; b++ {
+			for i := 0; i < burst; i++ {
+				q.Enqueue(prod, p)
+			}
+			for i := 0; i < burst; i++ {
+				if _, ok := q.Dequeue(cons); !ok {
+					t.Fatalf("burst %d: dequeue %d of %d found EMPTY", b, i, burst)
+				}
+			}
+			// Idle polls between bursts burn cells, as a waiting consumer's do.
+			for i := 0; i < 3; i++ {
+				if _, ok := q.Dequeue(cons); ok {
+					t.Fatalf("burst %d: poll found a value", b)
+				}
+			}
+		}
+	}
+	run(warmup)
+	allocs, hits := ctrLoad(&prod.stats.SegAllocs), ctrLoad(&prod.stats.SegPoolHits)
+	run(bursts)
+	linked := ctrLoad(&prod.stats.Segments)
+	t.Logf("producer: %d segments linked, %d heap-allocated (%d during warm-up), %d from the slots, %d cache hits",
+		linked, ctrLoad(&prod.stats.SegAllocs), allocs, ctrLoad(&prod.stats.SegPoolHits), ctrLoad(&prod.stats.SegCacheHits))
+	if n := ctrLoad(&prod.stats.SegAllocs) - allocs; n != 0 {
+		t.Errorf("producer heap-allocated %d segments after warm-up, want 0", n)
+	}
+	if ctrLoad(&prod.stats.SegPoolHits) == hits {
+		t.Error("producer took no segment from the spare slots after warm-up")
+	}
+}
+
+// TestRecycleRetainedHeap checks that the retention bound holds for the
+// heap, not only for the slots and caches: after a default-configured queue
+// is filled with 64 segments and drained, what stays reachable is the live
+// list plus at most 2·maxGarbage + 2·maxThreads kept segments. A segment
+// dropped for the GC must not stay reachable through the next link of one
+// that was kept, which is why retirement clears that link.
+func TestRecycleRetainedHeap(t *testing.T) {
+	const maxThreads = 2
+	var base, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+
+	q := New(maxThreads)
+	hs := []*Handle{mustRegister(t, q), mustRegister(t, q)}
+	burst := 64 * q.SegmentSize()
+	p := box(1)
+	for i := int64(0); i < burst; i++ {
+		q.Enqueue(hs[i&1], p)
+	}
+	for i := int64(0); i < burst; i++ {
+		if _, ok := q.Dequeue(hs[i&1]); !ok {
+			t.Fatalf("dequeue %d of %d: EMPTY", i, burst)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	live := int64(0)
+	for _, h := range hs {
+		live = max(live, sid((*segment)(atomic.LoadPointer(&h.tail))), sid((*segment)(atomic.LoadPointer(&h.head))))
+	}
+	live -= q.OldestSegmentID() - 1
+	segBytes := int64(unsafe.Sizeof(cell{})) * q.SegmentSize()
+	kept := (int64(after.HeapAlloc) - int64(base.HeapAlloc)) / segBytes
+	bound := 2*q.maxGarbage + 2*maxThreads + live + 2
+	t.Logf("%d KiB retained (%d segments of %d KiB), live list %d segments, bound %d segments",
+		(int64(after.HeapAlloc)-int64(base.HeapAlloc))>>10, kept, segBytes>>10, live, bound)
+	if kept > bound {
+		t.Errorf("%d segments of heap stay reachable after the drain, want at most 2·maxGarbage + 2·maxThreads + live + 2 = %d", kept, bound)
+	}
+	runtime.KeepAlive(q)
+}
+
+// TestRecycleDetachStress runs enqueue/dequeue pairs on two-cell segments
+// from more handles than CPUs, so segments retire and return through the
+// spare slots as fast as the list grows. Every dequeue follows its own
+// handle's enqueue, so the queue is never empty while a dequeue runs, and
+// an EMPTY result means a value was lost. Two defects lose values this way:
+// a segment published to a slot before its next link was read and cleared,
+// which another handle relinks while the cleaner still walks from it; and a
+// hazard id read through a hint whose segment was meanwhile retired and
+// reused under a later id (hazardID), which leaves the walk unprotected.
+// Both need a preemption in a window of a few instructions, so one run
+// catches them only sometimes.
+func TestRecycleDetachStress(t *testing.T) {
+	const workers = 6
+	pairs := 300_000
+	if testing.Short() || raceEnabled {
+		pairs = 30_000
+	}
+	q := New(workers, WithSegmentShift(1), WithMaxGarbage(1))
+	var wg sync.WaitGroup
+	var empties atomic.Int64
+	for w := 0; w < workers; w++ {
+		h := mustRegister(t, q)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := box(1)
+			for i := 0; i < pairs; i++ {
+				q.Enqueue(h, p)
+				if _, ok := q.Dequeue(h); !ok {
+					empties.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := empties.Load(); n != 0 {
+		t.Errorf("%d of %d dequeues found EMPTY after their own handle's enqueue: values were lost", n, workers*pairs)
 	}
 }

@@ -37,26 +37,37 @@ func slotRotation(segShift uint) uint {
 
 // newSegment returns a segment with the given id and all cells in the
 // initial (⊥, ⊥e, ⊥d) state, reusing a retired one where it can: the
-// handle's one-segment cache first, then the shared lock-free pool
-// (segpool.go), and only then the heap. The common steady-state case — a
-// thread reusing the segment it itself retired — touches no shared state at
-// all. h is nil only for the initial segment built by New, before any
-// handle exists.
+// handle's one-segment cache first, then one pass over the queue's spare
+// slots, and only then the heap. The common steady-state case — a thread
+// reusing the segment it itself retired — touches no shared state at all.
+// h is nil only for the initial segment built by New, before any handle
+// exists.
 func (q *Queue) newSegment(h *Handle, id int64) *segment {
 	s := (*segment)(nil)
 	if h != nil && h.segCache != nil {
 		s, h.segCache = h.segCache, nil
 		ctrInc(&h.stats.SegCacheHits)
-	} else if s = q.pool.pop(); s != nil && h != nil {
-		ctrInc(&h.stats.SegPoolHits)
+	} else {
+		//wfqlint:bounded(2*SEGS+THREADS, one pass over the spare slots: New sizes them 2·maxGarbage + maxThreads, and a failed swap only moves on)
+		for i := range q.spares {
+			if atomic.LoadPointer(&q.spares[i]) != nil {
+				if s = (*segment)(atomic.SwapPointer(&q.spares[i], nil)); s != nil {
+					break
+				}
+			}
+		}
+		if s != nil && h != nil {
+			ctrInc(&h.stats.SegPoolHits)
+		}
 	}
 	if s != nil {
 		// id is stored atomically: a cleaner that loaded a reference to
 		// this segment before it was recycled may still read the id (the
 		// read is gated — it can only influence the CAS on q.I, which
-		// then fails — but it must be a defined read).
+		// then fails — but it must be a defined read). next is already
+		// nil: recycleSegment's callers detach a segment before giving it
+		// back.
 		atomic.StoreInt64(&s.id, id)
-		s.next = nil
 		clear(s.cells)
 		return s
 	}
@@ -67,15 +78,24 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 }
 
 // recycleSegment takes back a retired segment the hazard protocol has
-// proved unreachable (or a findCell CAS loser no thread ever saw): into the
-// handle's cache if empty, else the shared pool, else — the pool is full —
-// dropped for the GC, which is what keeps retention bounded (segpool.go).
+// proved unreachable (or a findCell CAS loser no thread ever saw), whose
+// next link the caller has already cleared: into the handle's cache if
+// empty, else the first empty spare slot in one pass, else — every slot is
+// full — dropped for the GC, which is what keeps retention bounded. The
+// segment must be detached first because the slot CAS publishes it: another
+// handle may take and relink it at once.
 func (q *Queue) recycleSegment(h *Handle, s *segment) {
 	if h != nil && h.segCache == nil {
 		h.segCache = s
 		return
 	}
-	q.pool.push(s)
+	//wfqlint:bounded(2*SEGS+THREADS, one pass over the spare slots: New sizes them 2·maxGarbage + maxThreads, and a failed CAS only moves on)
+	for i := range q.spares {
+		if atomic.LoadPointer(&q.spares[i]) == nil &&
+			atomic.CompareAndSwapPointer(&q.spares[i], nil, unsafe.Pointer(s)) {
+			return
+		}
+	}
 }
 
 // findCell locates cell Q[cellID], extending the segment list as needed

@@ -421,9 +421,9 @@ func TestLiveSegmentWindowBounded(t *testing.T) {
 
 // TestPoolRetentionBound pins what recycling keeps after a burst: once a
 // default-configured queue has been filled and drained, the segments it
-// holds for reuse — the shared pool plus every handle's one-segment cache —
-// stay within 2·maxGarbage + 2·maxThreads (DESIGN.md §3.2), and a second
-// burst of the same size is served partly from them.
+// holds for reuse — the shared spare slots plus every handle's one-segment
+// cache — stay within 2·maxGarbage + 2·maxThreads (DESIGN.md §3.2), and a
+// second burst of the same size is served partly from them.
 func TestPoolRetentionBound(t *testing.T) {
 	const maxThreads = 2
 	q := New(maxThreads)
@@ -445,7 +445,7 @@ func TestPoolRetentionBound(t *testing.T) {
 	if q.ReclaimedSegments() < 32 {
 		t.Fatalf("draining %d segments reclaimed only %d", burst/q.SegmentSize(), q.ReclaimedSegments())
 	}
-	pooled := q.pool.size()
+	pooled := q.spareCount()
 	for _, h := range hs {
 		if h.segCache != nil {
 			pooled++
