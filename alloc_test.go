@@ -1,10 +1,11 @@
 package wfqueue_test
 
-// Allocation behavior of the public generic facade: after warm-up, the
-// box-recycling path (box.go getBox/putBox) makes Enqueue/Dequeue of
-// any fixed-size T — and the batched variants — allocation-free, and the
-// shared sync.Pool keeps cross-handle producer/consumer splits from
-// allocating per value.
+// Allocation behavior of the public generic façades: after warm-up, the
+// box-recycling path (box.go getBox/putBox) makes Enqueue/Dequeue of any
+// fixed-size T — and the batched variants — allocation-free. When a
+// producer handle and a consumer handle split the work, the boxes cross
+// between them in blocks through the queue's shared pools, and that
+// allocates nothing either (TestFacadeZeroAllocPipeline).
 
 import (
 	"runtime"
@@ -123,69 +124,208 @@ func TestFacadeZeroAllocBatch(t *testing.T) {
 	}
 }
 
-// TestBoxRecyclingCrossHandle splits production and consumption across
-// handles (the consumer's free list fills while the producer's drains; the
-// shared Pool rebalances) and checks values survive the box round-trips
-// intact.
-func TestBoxRecyclingCrossHandle(t *testing.T) {
-	const n = 20000
-	q := wfqueue.New[int](2, wfqueue.WithSegmentShift(4))
-	prod, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
+// pipelineBurst is the burst the pipeline-shaped tests move from a
+// producer handle to a consumer handle: more than a box free list holds, so
+// every burst makes the consumer spill blocks of boxes to the shared pool
+// and the producer refill from them.
+const pipelineBurst = 1000
+
+// TestFacadeZeroAllocPipeline is the allocation gate for boxes flowing one
+// way between handles: a producer handle enqueues bursts of pipelineBurst
+// values and a consumer handle drains each one. After warm-up the boxes
+// circulate in blocks through the queue's shared pools, so the window must
+// not allocate, on either façade.
+func TestFacadeZeroAllocPipeline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates, and sync.Pool drops items on purpose under -race")
 	}
-	cons, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	t.Run("Queue", func(t *testing.T) {
+		q := wfqueue.New[uint64](2)
+		prod, cons := mustRegister(t, q), mustRegister(t, q)
 		defer prod.Release()
-		for i := 0; i < n; i++ {
-			prod.Enqueue(i)
-		}
-	}()
-	seen := make([]bool, n)
-	got := 0
-	for got < n {
-		if v, ok := cons.Dequeue(); ok {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("value %d out of range or duplicated", v)
+		defer cons.Release()
+		burst := func() {
+			for i := 0; i < pipelineBurst; i++ {
+				prod.Enqueue(uint64(i))
 			}
-			seen[v] = true
-			got++
+			for i := 0; i < pipelineBurst; i++ {
+				if _, ok := cons.Dequeue(); !ok {
+					t.Fatalf("Dequeue %d of a %d-value burst saw EMPTY", i, pipelineBurst)
+				}
+			}
 		}
-	}
-	wg.Wait()
-	cons.Release()
+		checkPipelineAllocs(t, "Queue[uint64]", burst)
+	})
+	t.Run("BoundedQueue", func(t *testing.T) {
+		q, prod := mustBounded[uint64](t, 2, pipelineBurst)
+		cons, err := q.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prod.Release()
+		defer cons.Release()
+		burst := func() {
+			for i := 0; i < pipelineBurst; i++ {
+				if err := prod.TryEnqueue(uint64(i)); err != nil {
+					t.Fatalf("TryEnqueue %d of a %d-value burst: %v", i, pipelineBurst, err)
+				}
+			}
+			for i := 0; i < pipelineBurst; i++ {
+				if _, ok := cons.Dequeue(); !ok {
+					t.Fatalf("Dequeue %d of a %d-value burst saw EMPTY", i, pipelineBurst)
+				}
+			}
+		}
+		checkPipelineAllocs(t, "BoundedQueue[uint64]", burst)
+	})
 }
 
-// TestBoxZeroedOnRecycle checks putBox clears the recycled box: a queue of
-// pointers must not keep dequeued values reachable through its free lists.
-// (Whitebox-by-effect: we can't inspect the boxes, but a GC after the
-// dequeues must be able to collect the values, observed via finalizers.)
-func TestBoxZeroedOnRecycle(t *testing.T) {
-	q := wfqueue.New[*int](1)
+// checkPipelineAllocs runs 64 warm-up bursts, about 62 default-size
+// segments, so the core recycles segments and the box blocks circulate,
+// then requires a 20-burst window to allocate nothing.
+func checkPipelineAllocs(t *testing.T, name string, burst func()) {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		burst()
+	}
+	if n := mallocs(20, burst); n != 0 {
+		t.Errorf("%s: 20 warm producer→consumer bursts of %d values allocated %d objects, want 0",
+			name, pipelineBurst, n)
+	}
+}
+
+func mustRegister[T any](t *testing.T, q *wfqueue.Queue[T]) *wfqueue.Handle[T] {
+	t.Helper()
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Release()
+	return h
+}
 
-	collected := make(chan struct{}, 1)
-	func() {
-		v := new(int)
-		*v = 42
-		setFinalizer(v, func(*int) { collected <- struct{}{} })
-		h.Enqueue(v)
-		got, ok := h.Dequeue()
-		if !ok || got != v {
-			t.Fatal("round-trip failed")
+// TestBoxRecyclingCrossHandle splits production and consumption across
+// handles and checks values survive the box round-trips intact, each
+// arriving exactly once. The consumer's free list fills and spills blocks
+// while the producer's drains and refills from them: concurrently on two
+// goroutines, and in bursts on one, where every burst is sure to spill and
+// refill.
+func TestBoxRecyclingCrossHandle(t *testing.T) {
+	t.Run("concurrent", func(t *testing.T) {
+		const n = 20000
+		q := wfqueue.New[int](2, wfqueue.WithSegmentShift(4))
+		prod, cons := mustRegister(t, q), mustRegister(t, q)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer prod.Release()
+			for i := 0; i < n; i++ {
+				prod.Enqueue(i)
+			}
+		}()
+		seen := make([]bool, n)
+		for got := 0; got < n; {
+			if v, ok := cons.Dequeue(); ok {
+				if v < 0 || v >= n || seen[v] {
+					t.Fatalf("value %d out of range or duplicated", v)
+				}
+				seen[v] = true
+				got++
+			}
 		}
-	}()
-	if !eventuallyCollected(collected) {
-		t.Error("dequeued value still reachable; a recycled box retains the old pointer")
-	}
+		wg.Wait()
+		cons.Release()
+	})
+	t.Run("bursts", func(t *testing.T) {
+		const rounds = 8
+		q := wfqueue.New[int](2, wfqueue.WithSegmentShift(4))
+		prod, cons := mustRegister(t, q), mustRegister(t, q)
+		defer prod.Release()
+		defer cons.Release()
+		seen := make([]bool, rounds*pipelineBurst)
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < pipelineBurst; i++ {
+				prod.Enqueue(r*pipelineBurst + i)
+			}
+			for i := 0; i < pipelineBurst; i++ {
+				v, ok := cons.Dequeue()
+				if !ok {
+					t.Fatalf("round %d: EMPTY after %d of %d values", r, i, pipelineBurst)
+				}
+				if v < 0 || v >= len(seen) || seen[v] {
+					t.Fatalf("value %d out of range or duplicated", v)
+				}
+				seen[v] = true
+			}
+			if _, ok := cons.Dequeue(); ok {
+				t.Fatalf("round %d: a value beyond the burst", r)
+			}
+		}
+	})
+}
+
+// TestBoxZeroedOnRecycle checks putBox clears the recycled box: a queue of
+// pointers must not keep dequeued values reachable through its free lists
+// or through the blocks its handles spill to the shared pool.
+// (Whitebox-by-effect: we can't inspect the boxes, but a GC after the
+// dequeues must be able to collect the values, observed via finalizers.)
+func TestBoxZeroedOnRecycle(t *testing.T) {
+	t.Run("free list", func(t *testing.T) {
+		q := wfqueue.New[*int](1)
+		h := mustRegister(t, q)
+		defer h.Release()
+
+		collected := make(chan struct{}, 1)
+		func() {
+			v := new(int)
+			*v = 42
+			setFinalizer(v, func(*int) { collected <- struct{}{} })
+			h.Enqueue(v)
+			got, ok := h.Dequeue()
+			if !ok || got != v {
+				t.Fatal("round-trip failed")
+			}
+		}()
+		if !eventuallyCollected(collected) {
+			t.Error("dequeued value still reachable; a recycled box retains the old pointer")
+		}
+	})
+	t.Run("spilled blocks", func(t *testing.T) {
+		// The consumer's free list overflows several times while it drains
+		// a burst, so most boxes leave it in spilled blocks; a second burst
+		// refills the producer from them. Every value of the first burst
+		// must still be collectable.
+		q := wfqueue.New[*int](2)
+		prod, cons := mustRegister(t, q), mustRegister(t, q)
+		defer prod.Release()
+		defer cons.Release()
+
+		collected := make(chan struct{}, pipelineBurst)
+		func() {
+			for i := 0; i < pipelineBurst; i++ {
+				v := new(int)
+				*v = i
+				setFinalizer(v, func(*int) { collected <- struct{}{} })
+				prod.Enqueue(v)
+			}
+			for i := 0; i < pipelineBurst; i++ {
+				if got, ok := cons.Dequeue(); !ok || *got != i {
+					t.Fatalf("dequeue %d of the burst failed", i)
+				}
+			}
+		}()
+		filler := new(int)
+		for i := 0; i < pipelineBurst; i++ {
+			prod.Enqueue(filler)
+		}
+		for i := 0; i < pipelineBurst; i++ {
+			cons.Dequeue()
+		}
+		for i := 0; i < pipelineBurst; i++ {
+			if !eventuallyCollected(collected) {
+				t.Fatalf("%d of %d dequeued values still reachable; a spilled box retains the old pointer",
+					pipelineBurst-i, pipelineBurst)
+			}
+		}
+	})
 }

@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -51,8 +50,8 @@ const (
 type BoundedQueue[T any] struct {
 	q        *core.Queue
 	capacity int64
-	// boxes is the shared spill for the handles' value boxes (boxCache).
-	boxes sync.Pool
+	// boxes is the handles' shared supply of value-box blocks (boxCache).
+	boxes boxPools
 
 	_ pad.CacheLinePad
 	// n is the occupancy counter: values in the core, plus accepted
@@ -86,9 +85,7 @@ func NewBounded[T any](maxHandles, capacity int) (*BoundedQueue[T], error) {
 	if capacity > c {
 		c = 1 << bits.Len(uint(capacity-1))
 	}
-	bq := &BoundedQueue[T]{q: core.New(maxHandles), capacity: int64(c)}
-	bq.boxes.New = newBox[T]
-	return bq, nil
+	return &BoundedQueue[T]{q: core.New(maxHandles), capacity: int64(c)}, nil
 }
 
 // Register checks out a BoundedHandle. It returns ErrTooManyHandles when

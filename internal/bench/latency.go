@@ -76,8 +76,17 @@ func DefaultLatencyConfig(queue string, threads int) LatencyConfig {
 	}
 }
 
+// maxLatencyLead is how many values MeasureLatency lets the producers run
+// ahead of the consumers. The registry queues hand out each enqueued value
+// from a per-handle ring arena of 2^16 slots, so a producer further ahead
+// than that would overwrite slots whose values the consumers have not read
+// yet. A quarter of the arena leaves margin for the producers that pass the
+// check together.
+const maxLatencyLead = 1 << 14
+
 // MeasureLatency samples per-operation latencies of the named queue under a
-// producer/consumer load.
+// producer/consumer load. A producer waits (yielding, untimed) while the
+// values sent minus those consumed reach maxLatencyLead.
 func MeasureLatency(cfg LatencyConfig) (LatencyResult, error) {
 	if cfg.Threads < 2 {
 		cfg.Threads = 2
@@ -99,7 +108,7 @@ func MeasureLatency(cfg LatencyConfig) (LatencyResult, error) {
 
 	enqSamples := make([][]int64, producers)
 	deqSamples := make([][]int64, consumers)
-	var consumed atomic.Int64
+	var sent, consumed atomic.Int64
 	target := int64(producers * cfg.OpsPerSide)
 	var wg sync.WaitGroup
 
@@ -118,6 +127,11 @@ func MeasureLatency(cfg LatencyConfig) (LatencyResult, error) {
 			}
 			local := make([]int64, 0, cfg.OpsPerSide/cfg.SampleEvery+1)
 			for i := 0; i < cfg.OpsPerSide; i++ {
+				// Reading consumed also orders each consumer's read of an
+				// arena slot before this producer's reuse of it.
+				for s := sent.Add(1); s-consumed.Load() > maxLatencyLead; {
+					runtime.Gosched()
+				}
 				if i%cfg.SampleEvery == 0 {
 					t0 := time.Now()
 					ops.Enqueue(uint64(i) + 1)

@@ -49,11 +49,13 @@ const (
 	DefaultSegmentShift = 10
 	// DefaultPatience is the fast-path attempt budget ("WF-10").
 	DefaultPatience = 10
-	// DefaultMaxSpin is the paper's MAX_SPIN: how many times a dequeuer
-	// re-reads a claimed-but-unfilled cell before poisoning it with ⊤.
-	// 100 loads ≈ 100ns on the evaluation hosts, about one fast-path
-	// enqueue latency — long enough for an in-flight enqueuer to complete
-	// its deposit, short enough to stay negligible against a slow path.
+	// DefaultMaxSpin is the paper's MAX_SPIN: the pause-loop iterations a
+	// dequeuer waits on a claimed-but-unfilled cell before poisoning it
+	// with ⊤. helpEnq re-reads the cell once every spinPollStride (16)
+	// iterations, so the default waits about 100 trivial iterations and
+	// reads the cell ⌈100/16⌉ = 7 times — about one fast-path enqueue
+	// latency, long enough for an in-flight enqueuer to complete its
+	// deposit, short enough to stay negligible against a slow path.
 	DefaultMaxSpin = 100
 
 	// PatienceCap and MaxSpinCap are the largest values WithPatience and
@@ -380,9 +382,11 @@ func WithPatience(p int) Option {
 	return func(c *config) { c.patience = max(0, min(p, PatienceCap)) }
 }
 
-// WithMaxSpin sets the paper's MAX_SPIN: the number of times a dequeuer
-// re-reads a cell claimed by an in-flight enqueuer before poisoning it with
-// ⊤ and forcing that enqueuer toward another cell (helpEnq, paper line 90).
+// WithMaxSpin sets the paper's MAX_SPIN: the pause-loop iterations a
+// dequeuer waits on a cell claimed by an in-flight enqueuer before
+// poisoning it with ⊤ and forcing that enqueuer toward another cell
+// (helpEnq, paper line 90). The dequeuer re-reads the cell once every
+// spinPollStride iterations, ⌈n/spinPollStride⌉ reads in all.
 // After the spin budget expires the dequeuer yields the processor once
 // (runtime.Gosched) — on oversubscribed hosts the enqueuer it is waiting
 // for may need the timeslice to finish its deposit. The bound keeps the

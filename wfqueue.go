@@ -44,7 +44,6 @@ package wfqueue
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -54,8 +53,8 @@ import (
 // Queue is a wait-free FIFO queue holding values of type T.
 type Queue[T any] struct {
 	q *core.Queue
-	// boxes is the shared spill for the handles' value boxes (boxCache).
-	boxes sync.Pool
+	// boxes is the handles' shared supply of value-box blocks (boxCache).
+	boxes boxPools
 }
 
 // Option configures a Queue at construction time.
@@ -96,12 +95,10 @@ func WithCoalescing(window int) Option { return core.WithCoalescing(window) }
 // registered handles. maxHandles fixes the size of the helping ring, as in
 // the paper; handles can be released and re-registered freely.
 func New[T any](maxHandles int, opts ...Option) *Queue[T] {
-	q := &Queue[T]{q: core.New(maxHandles, opts...)}
-	q.boxes.New = newBox[T]
-	return q
+	return &Queue[T]{q: core.New(maxHandles, opts...)}
 }
 
-// Register checks out a Handle. It returns core.ErrTooManyHandles when
+// Register checks out a Handle. It returns ErrTooManyHandles when
 // maxHandles handles are already in use.
 //
 // A Handle that becomes garbage without Release is returned to the pool by
