@@ -12,6 +12,9 @@ all: build vet lint test
 
 # What .github/workflows/ci.yml runs; keep the two in sync.
 ci: build vet lint cert-check
+	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=arm $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	$(GO) test -short -count=1 ./...
 	$(GO) test -race -short -count=1 ./...
 	$(GO) test -count=1 -run 'Recycl|Reclaim|Hazard|TinySegments|RemappedSegments' ./internal/core

@@ -114,30 +114,18 @@ func (q *BoundedQueue[T]) MaxHandles() int { return q.q.Capacity() }
 func (q *BoundedQueue[T]) Len() int { return int(min(max(q.n.Load(), 0), q.capacity)) }
 
 // Stats returns the queue's execution-path counters, summed across handles:
+// every core counter under its snake_case field name (Counters.EnqFast is
+// "enq_fast", Counters.DeqEmpty is "deq_empty"; the key table beside
+// Counters in internal/core lists them all), plus
 //
-//   - enq_fast, enq_slow: core enqueues completed on the fast and slow path
-//   - deq_fast, deq_slow, deq_empty: core dequeues completed on the fast
-//     and slow path, and those that returned EMPTY
-//   - fast_cas_fails, spin_fallbacks: fast-path claims lost, and enqueue
-//     helpers that gave up spinning and yielded
-//   - help_enq, help_deq: slow-path requests served for a peer
-//   - cleanups, segments: reclamation passes that freed a segment, and
-//     segments linked into the core's list
 //   - enq_full: enqueue attempts that met a full queue (TryEnqueue's
 //     ErrFull, and each retry of the blocking Enqueue)
 //
-// The core keys are named as wfqperf's core rung names them; a rejected
-// enqueue never reaches the core, so enq_full is counted here.
+// A rejected enqueue never reaches the core, so enq_full is counted here.
 func (q *BoundedQueue[T]) Stats() map[string]uint64 {
-	c := q.q.Stats()
-	return map[string]uint64{
-		"enq_fast": c.EnqFast, "enq_slow": c.EnqSlow,
-		"deq_fast": c.DeqFast, "deq_slow": c.DeqSlow, "deq_empty": c.DeqEmpty,
-		"fast_cas_fails": c.FastCASFails, "spin_fallbacks": c.SpinFallbacks,
-		"help_enq": c.HelpEnq, "help_deq": c.HelpDeq,
-		"cleanups": c.Cleanups, "segments": c.Segments,
-		"enq_full": q.full.Load(),
-	}
+	m := q.q.Stats().Map()
+	m["enq_full"] = q.full.Load()
+	return m
 }
 
 // reserve takes one unit of occupancy for an enqueue, or reports false

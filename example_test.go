@@ -87,3 +87,24 @@ func Example_patience() {
 	// Output:
 	// done
 }
+
+// Stats snapshots the execution-path counters behind the paper's Table 2.
+// Add sums snapshots (say, of several queues) and Map keys each counter by
+// its snake_case field name.
+func Example_counters() {
+	q := wfqueue.New[int](1)
+	h, _ := q.Register()
+	defer h.Release()
+	for i := 0; i < 3; i++ {
+		h.Enqueue(i)
+	}
+	for i := 0; i < 4; i++ {
+		h.Dequeue()
+	}
+
+	var total wfqueue.Counters
+	total.Add(q.Stats())
+	fmt.Println(total.EnqFast, total.DeqFast, total.Map()["deq_empty"])
+	// Output:
+	// 3 3 1
+}

@@ -80,6 +80,7 @@ const (
 	PkgOFQueue = "wfqueue/internal/ofqueue"
 	PkgMSQueue = "wfqueue/internal/msqueue"
 	PkgCCQueue = "wfqueue/internal/ccqueue"
+	PkgCtr     = "wfqueue/internal/ctr"
 )
 
 // RepoConfig returns the canonical configuration for this repository,
@@ -104,14 +105,15 @@ func RepoConfig(root string) Config {
 			PkgCCQueue: TierLockFree,
 		},
 		// hazard: Protect/Retire receive atomic word addresses from the
-		// lock-free queues.
-		Extra: []string{"wfqueue/internal/hazard"},
-		// The handle lifecycle (AcquireHandle/Register/Release over the
+		// lock-free queues. ctr: the counter helpers every wait-free tier
+		// bumps on its operation paths.
+		Extra: []string{"wfqueue/internal/hazard", PkgCtr},
+		// The handle lifecycle (Register/Release over the
 		// generation-tagged free lists, DESIGN.md §6) is screened alongside
 		// the queue operations: it is documented lock-free, so nothing
 		// reachable from it may park a goroutine either.
 		HotPaths: map[string][]string{
-			PkgCore:    append([]string{"AcquireHandle", "Register", "Release"}, hot...),
+			PkgCore:    append([]string{"Register", "Release"}, hot...),
 			PkgSharded: append([]string{"Register", "RegisterOnLane", "Release"}, hot...),
 			// The bounded ring's hot quartet plus its lock-free lifecycle:
 			// nothing reachable from any of them may park a goroutine
@@ -134,11 +136,13 @@ func RepoConfig(root string) Config {
 				// helpEnq's poll pause, and the exported clamped spin that
 				// idle-polling consumers wait with between EMPTY dequeues.
 				"pause", "Pause",
+				// Counter snapshots: Stats and Counters.Add walk the counter
+				// words in place.
+				"Stats", "Add",
 				// Handle lifecycle: acquisition and release work over the
 				// preallocated handle array through a tagged free list and
-				// must not allocate either. (core Register is an alias for
-				// AcquireHandle and has no body of its own to gate.)
-				"AcquireHandle", "Release", "pushHandle", "Registered",
+				// must not allocate either.
+				"Register", "Release", "pushHandle", "Registered",
 			},
 			// The sharded layer's operations are thin dispatch over core
 			// calls and must stay allocation-free themselves.
@@ -159,8 +163,10 @@ func RepoConfig(root string) Config {
 				"TryEnqueue", "Dequeue", "takeVal", "helpPeers", "dequeueSlow",
 				"Register", "Release",
 				"enqueue", "dequeue", "catchup", "remap", "pack", "unpack",
-				"size", "Size", "Capacity", "ctrInc",
+				"size", "Size", "Capacity",
 			},
+			// The counter helpers inline into every operation path above.
+			PkgCtr: {"Inc", "Add", "Load"},
 		},
 		LayoutRules: RepoLayoutRules(),
 		Symbols:     RepoSymbols(),
@@ -171,7 +177,7 @@ func RepoConfig(root string) Config {
 			PkgCore: {
 				"Enqueue", "Dequeue", "EnqueueBatch", "DequeueBatch",
 				"CoalescedEnqueue", "CoalescedDequeue", "Flush",
-				"Register", "AcquireHandle", "Release",
+				"Register", "Release",
 			},
 			PkgSharded: {
 				"Enqueue", "Dequeue", "EnqueueBatch", "DequeueBatch",

@@ -1,5 +1,5 @@
 // Package hpool is a wfqlint fixture for the handle-pool lifecycle shape:
-// the generation-tagged Treiber free list behind AcquireHandle/Release
+// the generation-tagged Treiber free list behind Register/Release
 // (DESIGN.md §6). Pop carries the sanctioned lock-free-retry annotation and
 // becomes a proof obligation; BadPush is the true positive — the same CAS
 // retry loop with no annotation, which the bounded-loop audit must flag.
@@ -18,7 +18,7 @@ type Pool struct {
 }
 
 // Pop is the discharged case: a tagged pop whose CAS-retry bound lives in
-// the annotation, exactly like (*Queue).AcquireHandle.
+// the annotation, exactly like core's (*Queue).Register.
 func (p *Pool) Pop() uint32 {
 	//wfqlint:bounded(RETRY, fixture: lock-free CAS retry — a failed CAS means another goroutine completed a pop or push, and the lifecycle is documented lock-free, not wait-free)
 	for {

@@ -371,13 +371,13 @@ func churnAllocs(cycles int, cycle func()) ChurnAllocsResult {
 	}
 }
 
-// CoreChurnAllocs measures the core queue's AcquireHandle/Release pair: the
+// CoreChurnAllocs measures the core queue's Register/Release pair: the
 // lock-free handle pool must hand slots out and take them back without
 // touching the heap (DESIGN.md §6).
 func CoreChurnAllocs(cycles int) ChurnAllocsResult {
 	q := core.New(2)
 	return churnAllocs(cycles, func() {
-		h, err := q.AcquireHandle()
+		h, err := q.Register()
 		if err != nil {
 			panic(err) // cannot happen: capacity 2, one handle in flight
 		}

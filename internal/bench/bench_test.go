@@ -239,9 +239,6 @@ func TestSegAllocRate(t *testing.T) {
 }
 
 func TestChurnAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
-	}
 	for name, f := range map[string]func(int) ChurnAllocsResult{
 		"core":    CoreChurnAllocs,
 		"sharded": ShardedChurnAllocs,
@@ -257,9 +254,6 @@ func TestChurnAllocsZero(t *testing.T) {
 }
 
 func TestSCQSteadyStateAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
-	}
 	r := SCQSteadyStateAllocs(200000)
 	if r.AllocsPerOp != 0 {
 		t.Errorf("scq steady-state allocs/op = %v, want exactly 0", r.AllocsPerOp)

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // mallocs returns the heap allocations (MemStats.Mallocs) made across runs
@@ -96,17 +98,17 @@ func TestSegCacheServesOwner(t *testing.T) {
 	if h.segCache == nil {
 		t.Fatal("after reclamation cycles the cleaner's segment cache is empty")
 	}
-	if got := ctrLoad(&h.stats.SegCacheHits); got == 0 {
+	if got := ctr.Load(&h.stats.SegCacheHits); got == 0 {
 		t.Error("no segment was ever served from the handle cache")
 	}
-	allocs := ctrLoad(&h.stats.SegAllocs)
+	allocs := ctr.Load(&h.stats.SegAllocs)
 	if allocs > 4 {
 		t.Errorf("steady single-thread traffic heap-allocated %d segments, want a handful at startup only", allocs)
 	}
 	// One handle never loses a findCell CAS, so every segment it linked came
 	// from exactly one of the cache, the spare slots, or the heap.
-	cache, slots := ctrLoad(&h.stats.SegCacheHits), ctrLoad(&h.stats.SegPoolHits)
-	if linked := ctrLoad(&h.stats.Segments); cache+slots+allocs != linked {
+	cache, slots := ctr.Load(&h.stats.SegCacheHits), ctr.Load(&h.stats.SegPoolHits)
+	if linked := ctr.Load(&h.stats.Segments); cache+slots+allocs != linked {
 		t.Errorf("cache %d + slot %d + heap %d segments != %d linked", cache, slots, allocs, linked)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // Batched operations. The paper's fast path spends one fetch-and-add per
@@ -54,10 +56,10 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 	} else {
 		atomic.StoreInt64(&h.hzdp, hz)
 	}
-	ctrInc(&h.stats.EnqBatchCalls)
+	ctr.Inc(&h.stats.EnqBatchCalls)
 
 	// One FAA reserves cells [i0, i0+k).
-	ctrInc(&h.stats.EnqBatchFAAs)
+	ctr.Inc(&h.stats.EnqBatchFAAs)
 	i0 := atomic.AddInt64(&q.T, k) - k
 
 	// Deposit the values, in order, into the usable reserved cells, in
@@ -71,9 +73,9 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 		c := q.findCell(h, &h.tail, i0+j)
 		if atomic.CompareAndSwapPointer(&c.val, nil, vs[m]) {
 			m++
-			ctrInc(&h.stats.EnqFast)
+			ctr.Inc(&h.stats.EnqFast)
 		} else {
-			ctrInc(&h.stats.FastCASFails)
+			ctr.Inc(&h.stats.FastCASFails)
 			if budget > 0 {
 				budget--
 			}
@@ -95,18 +97,18 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 			if !first {
 				budget--
 			}
-			ctrInc(&h.stats.EnqBatchFAAs)
+			ctr.Inc(&h.stats.EnqBatchFAAs)
 			if q.enqFast(h, v, &cellID) {
 				done = true
 				break
 			}
-			ctrInc(&h.stats.FastCASFails)
+			ctr.Inc(&h.stats.FastCASFails)
 		}
 		if done {
-			ctrInc(&h.stats.EnqFast)
+			ctr.Inc(&h.stats.EnqFast)
 		} else {
 			q.enqSlow(h, v, cellID)
-			ctrInc(&h.stats.EnqSlow)
+			ctr.Inc(&h.stats.EnqSlow)
 		}
 	}
 
@@ -152,10 +154,10 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 	} else {
 		atomic.StoreInt64(&h.hzdp, hz)
 	}
-	ctrInc(&h.stats.DeqBatchCalls)
+	ctr.Inc(&h.stats.DeqBatchCalls)
 
 	// One FAA reserves cells [i0, i0+k).
-	ctrInc(&h.stats.DeqBatchFAAs)
+	ctr.Inc(&h.stats.DeqBatchFAAs)
 	i0 := atomic.AddInt64(&q.H, k) - k
 
 	// Visit EVERY reserved cell — each H index is visited exactly once
@@ -172,19 +174,19 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 		v := q.helpEnq(h, c, i)
 		if v == emptyVal {
 			sawEmpty = true
-			ctrInc(&h.stats.DeqEmpty)
+			ctr.Inc(&h.stats.DeqEmpty)
 			continue
 		}
 		if v != topVal && atomic.CompareAndSwapPointer(&c.deq, nil, topDeq) {
 			dst[n] = v
 			n++
-			ctrInc(&h.stats.DeqFast)
+			ctr.Inc(&h.stats.DeqFast)
 		} else {
 			// The cell is unusable (⊤) or its value was claimed by a
 			// slow-path dequeue request, which will return it — never lost.
 			// Either way this reserved cell yielded nothing: a fast-path
 			// failure for the contention signal.
-			ctrInc(&h.stats.FastCASFails)
+			ctr.Inc(&h.stats.FastCASFails)
 		}
 	}
 

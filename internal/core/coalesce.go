@@ -1,6 +1,10 @@
 package core
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"wfqueue/internal/ctr"
+)
 
 // Transparent operation coalescing (DESIGN.md §8). The paper's hot path
 // costs one FAA per operation; the batched driver (batch.go) showed k
@@ -86,7 +90,7 @@ func (q *Queue) CoalescedEnqueue(h *Handle, v unsafe.Pointer) {
 	if int(h.clen) >= q.coalesce {
 		q.Flush(h)
 	} else if h.cops >= coalesceDeadline {
-		ctrInc(&h.stats.CoalesceDeadlineFlushes)
+		ctr.Inc(&h.stats.CoalesceDeadlineFlushes)
 		q.Flush(h)
 	}
 }
@@ -109,8 +113,8 @@ func (q *Queue) Flush(h *Handle) {
 		h.cbuf[i] = nil
 	}
 	h.clen = 0
-	ctrInc(&h.stats.CoalesceFlushes)
-	ctrAdd(&h.stats.CoalesceFlushedVals, uint64(n))
+	ctr.Inc(&h.stats.CoalesceFlushes)
+	ctr.Add(&h.stats.CoalesceFlushedVals, uint64(n))
 }
 
 // CoalescedDequeue removes one value through handle h's drain buffer. A
@@ -134,7 +138,7 @@ func (q *Queue) CoalescedDequeue(h *Handle) (unsafe.Pointer, bool) {
 	if h.clen > 0 {
 		h.cops++
 		if h.cops >= coalesceDeadline {
-			ctrInc(&h.stats.CoalesceDeadlineFlushes)
+			ctr.Inc(&h.stats.CoalesceDeadlineFlushes)
 			q.Flush(h)
 		}
 	}
@@ -188,7 +192,7 @@ func (q *Queue) coalesceRefill(h *Handle) int {
 	n := q.DequeueBatch(h, h.dbuf[:w])
 	h.dlen = int32(n)
 	if n > 0 {
-		ctrInc(&h.stats.CoalesceRefills)
+		ctr.Inc(&h.stats.CoalesceRefills)
 	}
 	return n
 }

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"wfqueue/internal/ctr"
 	"wfqueue/internal/pad"
 )
 
@@ -239,7 +240,8 @@ type Handle struct {
 // Counters are per-handle instrumentation, aggregated by Queue.Stats to
 // regenerate the paper's Table 2. Each counter has a single writer (the
 // handle's owner); Stats aggregates across handles and may observe slightly
-// stale values while operations are in flight.
+// stale values while operations are in flight. Every field is a uint64 with
+// a key in counterKeys at the same index.
 type Counters struct {
 	EnqFast  uint64 // enqueues completed on the fast path
 	EnqSlow  uint64 // enqueues completed on the slow path
@@ -287,33 +289,48 @@ type Counters struct {
 	CoalesceRefills         uint64 // non-empty drain-buffer refills
 }
 
-// Add folds the already-aggregated counters o into c, field by field (used
-// by the sharded layer to sum its lanes' Stats snapshots). The whitebox
-// counter census asserts — by reflection — that no Counters field is
-// missing here or in Queue.Stats.
+// counterKeys names the Counters fields in declaration order, in snake_case:
+// key i is field i. Add, Queue.Stats and Map walk Counters as an array of
+// len(counterKeys) words, so this table is the one list of the counter set.
+var counterKeys = [...]string{
+	"enq_fast", "enq_slow", "deq_fast", "deq_slow", "deq_empty",
+	"fast_cas_fails", "spin_fallbacks", "help_enq", "help_deq",
+	"cleanups", "segments", "seg_cache_hits", "seg_pool_hits", "seg_allocs",
+	"enq_batch_calls", "enq_batch_faas", "deq_batch_calls", "deq_batch_faas",
+	"coalesce_flushes", "coalesce_flushed_vals", "coalesce_deadline_flushes",
+	"coalesce_refills",
+}
+
+// Counters must be exactly one uint64 per key: a field added without its
+// key fails to compile here (index out of range), and a key without its
+// field overflows the uintptr.
+func _() {
+	var x [1]struct{}
+	_ = x[unsafe.Sizeof(Counters{})-8*uintptr(len(counterKeys))]
+}
+
+// words views c as the array of its counters.
+func (c *Counters) words() *[len(counterKeys)]uint64 {
+	return (*[len(counterKeys)]uint64)(unsafe.Pointer(c))
+}
+
+// Add folds the already-aggregated counters o into c (used by the sharded
+// layer to sum its lanes' Stats snapshots).
 func (c *Counters) Add(o Counters) {
-	c.EnqFast += o.EnqFast
-	c.EnqSlow += o.EnqSlow
-	c.DeqFast += o.DeqFast
-	c.DeqSlow += o.DeqSlow
-	c.DeqEmpty += o.DeqEmpty
-	c.FastCASFails += o.FastCASFails
-	c.SpinFallbacks += o.SpinFallbacks
-	c.HelpEnq += o.HelpEnq
-	c.HelpDeq += o.HelpDeq
-	c.Cleanups += o.Cleanups
-	c.Segments += o.Segments
-	c.SegCacheHits += o.SegCacheHits
-	c.SegPoolHits += o.SegPoolHits
-	c.SegAllocs += o.SegAllocs
-	c.EnqBatchCalls += o.EnqBatchCalls
-	c.EnqBatchFAAs += o.EnqBatchFAAs
-	c.DeqBatchCalls += o.DeqBatchCalls
-	c.DeqBatchFAAs += o.DeqBatchFAAs
-	c.CoalesceFlushes += o.CoalesceFlushes
-	c.CoalesceFlushedVals += o.CoalesceFlushedVals
-	c.CoalesceDeadlineFlushes += o.CoalesceDeadlineFlushes
-	c.CoalesceRefills += o.CoalesceRefills
+	w, ow := c.words(), o.words()
+	for i := range w {
+		w[i] += ow[i]
+	}
+}
+
+// Map returns the counters keyed by their counterKeys names, the keys the
+// registry's StatsProvider maps and BoundedQueue.Stats report.
+func (c Counters) Map() map[string]uint64 {
+	m := make(map[string]uint64, len(counterKeys))
+	for i, v := range c.words() {
+		m[counterKeys[i]] = v
+	}
+	return m
 }
 
 // Queue is the wait-free FIFO queue. Create instances with New; all
@@ -491,12 +508,6 @@ func New(maxThreads int, opts ...Option) *Queue {
 	return q
 }
 
-// Register checks out a handle. Each concurrent worker needs its own;
-// callers return it with Handle.Release when done. It is a veneer over
-// AcquireHandle (handlepool.go), kept for API continuity: both are
-// lock-free and allocation-free.
-func (q *Queue) Register() (*Handle, error) { return q.AcquireHandle() }
-
 // Capacity returns the maximum number of concurrently registered handles.
 func (q *Queue) Capacity() int { return len(q.handles) }
 
@@ -522,29 +533,12 @@ func (q *Queue) Size() int64 {
 // Stats aggregates all handles' counters.
 func (q *Queue) Stats() Counters {
 	var total Counters
+	w := total.words()
 	for _, h := range q.handles {
-		total.EnqFast += ctrLoad(&h.stats.EnqFast)
-		total.EnqSlow += ctrLoad(&h.stats.EnqSlow)
-		total.DeqFast += ctrLoad(&h.stats.DeqFast)
-		total.DeqSlow += ctrLoad(&h.stats.DeqSlow)
-		total.DeqEmpty += ctrLoad(&h.stats.DeqEmpty)
-		total.FastCASFails += ctrLoad(&h.stats.FastCASFails)
-		total.SpinFallbacks += ctrLoad(&h.stats.SpinFallbacks)
-		total.HelpEnq += ctrLoad(&h.stats.HelpEnq)
-		total.HelpDeq += ctrLoad(&h.stats.HelpDeq)
-		total.Cleanups += ctrLoad(&h.stats.Cleanups)
-		total.Segments += ctrLoad(&h.stats.Segments)
-		total.SegCacheHits += ctrLoad(&h.stats.SegCacheHits)
-		total.SegPoolHits += ctrLoad(&h.stats.SegPoolHits)
-		total.SegAllocs += ctrLoad(&h.stats.SegAllocs)
-		total.EnqBatchCalls += ctrLoad(&h.stats.EnqBatchCalls)
-		total.EnqBatchFAAs += ctrLoad(&h.stats.EnqBatchFAAs)
-		total.DeqBatchCalls += ctrLoad(&h.stats.DeqBatchCalls)
-		total.DeqBatchFAAs += ctrLoad(&h.stats.DeqBatchFAAs)
-		total.CoalesceFlushes += ctrLoad(&h.stats.CoalesceFlushes)
-		total.CoalesceFlushedVals += ctrLoad(&h.stats.CoalesceFlushedVals)
-		total.CoalesceDeadlineFlushes += ctrLoad(&h.stats.CoalesceDeadlineFlushes)
-		total.CoalesceRefills += ctrLoad(&h.stats.CoalesceRefills)
+		hw := h.stats.words()
+		for i := range w {
+			w[i] += ctr.Load(&hw[i])
+		}
 	}
 	return total
 }

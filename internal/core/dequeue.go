@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // Dequeue removes and returns the oldest value in the queue, or ok=false if
@@ -27,13 +29,13 @@ func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 		if v != topVal {
 			break
 		}
-		ctrInc(&h.stats.FastCASFails)
+		ctr.Inc(&h.stats.FastCASFails)
 	}
 	if v == topVal {
 		v = q.deqSlow(h, cellID)
-		ctrInc(&h.stats.DeqSlow)
+		ctr.Inc(&h.stats.DeqSlow)
 	} else if v != emptyVal {
-		ctrInc(&h.stats.DeqFast)
+		ctr.Inc(&h.stats.DeqFast)
 	}
 
 	// Invariant: v is a value or EMPTY.
@@ -46,7 +48,7 @@ func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 			h.deqPeerIdx = 0
 		}
 	} else {
-		ctrInc(&h.stats.DeqEmpty)
+		ctr.Inc(&h.stats.DeqEmpty)
 	}
 
 	if plainHazard {
@@ -115,7 +117,7 @@ func (q *Queue) helpDeq(h *Handle, helpee *Handle) {
 		return
 	}
 	if helpee != h {
-		ctrInc(&h.stats.HelpDeq)
+		ctr.Inc(&h.stats.HelpDeq)
 	}
 
 	// h.scratch[0] is the paper's ha, the cursor for announced cells; it

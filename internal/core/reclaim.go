@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // cleanup attempts to reclaim retired segments (paper Listing 5, lines
@@ -91,7 +93,7 @@ func (q *Queue) cleanup(h *Handle) {
 
 	atomic.StorePointer(&q.q, unsafe.Pointer(e))
 	atomic.StoreInt64(&q.I, sid(e))
-	ctrInc(&h.stats.Cleanups)
+	ctr.Inc(&h.stats.Cleanups)
 	q.freeSegments(h, s, e)
 }
 

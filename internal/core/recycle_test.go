@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // drive pushes the queue through enough enqueue/dequeue pairs on h to cross
@@ -357,15 +359,15 @@ func TestRecycleCrossHandle(t *testing.T) {
 		}
 	}
 	run(warmup)
-	allocs, hits := ctrLoad(&prod.stats.SegAllocs), ctrLoad(&prod.stats.SegPoolHits)
+	allocs, hits := ctr.Load(&prod.stats.SegAllocs), ctr.Load(&prod.stats.SegPoolHits)
 	run(bursts)
-	linked := ctrLoad(&prod.stats.Segments)
+	linked := ctr.Load(&prod.stats.Segments)
 	t.Logf("producer: %d segments linked, %d heap-allocated (%d during warm-up), %d from the slots, %d cache hits",
-		linked, ctrLoad(&prod.stats.SegAllocs), allocs, ctrLoad(&prod.stats.SegPoolHits), ctrLoad(&prod.stats.SegCacheHits))
-	if n := ctrLoad(&prod.stats.SegAllocs) - allocs; n != 0 {
+		linked, ctr.Load(&prod.stats.SegAllocs), allocs, ctr.Load(&prod.stats.SegPoolHits), ctr.Load(&prod.stats.SegCacheHits))
+	if n := ctr.Load(&prod.stats.SegAllocs) - allocs; n != 0 {
 		t.Errorf("producer heap-allocated %d segments after warm-up, want 0", n)
 	}
-	if ctrLoad(&prod.stats.SegPoolHits) == hits {
+	if ctr.Load(&prod.stats.SegPoolHits) == hits {
 		t.Error("producer took no segment from the spare slots after warm-up")
 	}
 }

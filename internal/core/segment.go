@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"wfqueue/internal/ctr"
 	"wfqueue/internal/pad"
 )
 
@@ -46,7 +47,7 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 	s := (*segment)(nil)
 	if h != nil && h.segCache != nil {
 		s, h.segCache = h.segCache, nil
-		ctrInc(&h.stats.SegCacheHits)
+		ctr.Inc(&h.stats.SegCacheHits)
 	} else {
 		//wfqlint:bounded(2*SEGS+THREADS, one pass over the spare slots: New sizes them 2·maxGarbage + maxThreads, and a failed swap only moves on)
 		for i := range q.spares {
@@ -57,7 +58,7 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 			}
 		}
 		if s != nil && h != nil {
-			ctrInc(&h.stats.SegPoolHits)
+			ctr.Inc(&h.stats.SegPoolHits)
 		}
 	}
 	if s != nil {
@@ -72,7 +73,7 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 		return s
 	}
 	if h != nil {
-		ctrInc(&h.stats.SegAllocs)
+		ctr.Inc(&h.stats.SegAllocs)
 	}
 	return &segment{id: id, cells: make([]cell, q.segMask+1)}
 }
@@ -114,7 +115,7 @@ func (q *Queue) findCell(h *Handle, sp *unsafe.Pointer, cellID int64) *cell {
 			// extended it; the loser's segment goes back to be recycled.
 			tmp := q.newSegment(h, i+1)
 			if atomic.CompareAndSwapPointer(&s.next, nil, unsafe.Pointer(tmp)) {
-				ctrInc(&h.stats.Segments)
+				ctr.Inc(&h.stats.Segments)
 			} else {
 				q.recycleSegment(h, tmp)
 			}

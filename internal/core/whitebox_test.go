@@ -6,7 +6,6 @@ package core
 // protocol's corner cases.
 
 import (
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -464,37 +463,61 @@ func TestPoolRetentionBound(t *testing.T) {
 	}
 }
 
-// TestCountersCensus asserts, by reflection, that Queue.Stats and
-// Counters.Add carry every Counters field: a counter added to the struct but
-// forgotten in either aggregation fails here.
+// TestCountersCensus pins key i of counterKeys to field i of Counters (the
+// size check beside the table catches a field or a key added alone, not a
+// reordered pair) and checks that Queue.Stats, Add and Map carry every
+// counter, and that Stats and Add do not allocate.
 func TestCountersCensus(t *testing.T) {
-	q := New(2)
-	h := q.handles[0]
-	rv := reflect.ValueOf(&h.stats).Elem()
-	for i := 0; i < rv.NumField(); i++ {
-		rv.Field(i).SetUint(uint64(100 + i))
+	var c Counters
+	fields := []struct {
+		key string
+		p   *uint64
+	}{
+		{"enq_fast", &c.EnqFast}, {"enq_slow", &c.EnqSlow},
+		{"deq_fast", &c.DeqFast}, {"deq_slow", &c.DeqSlow},
+		{"deq_empty", &c.DeqEmpty}, {"fast_cas_fails", &c.FastCASFails},
+		{"spin_fallbacks", &c.SpinFallbacks}, {"help_enq", &c.HelpEnq},
+		{"help_deq", &c.HelpDeq}, {"cleanups", &c.Cleanups},
+		{"segments", &c.Segments}, {"seg_cache_hits", &c.SegCacheHits},
+		{"seg_pool_hits", &c.SegPoolHits}, {"seg_allocs", &c.SegAllocs},
+		{"enq_batch_calls", &c.EnqBatchCalls}, {"enq_batch_faas", &c.EnqBatchFAAs},
+		{"deq_batch_calls", &c.DeqBatchCalls}, {"deq_batch_faas", &c.DeqBatchFAAs},
+		{"coalesce_flushes", &c.CoalesceFlushes},
+		{"coalesce_flushed_vals", &c.CoalesceFlushedVals},
+		{"coalesce_deadline_flushes", &c.CoalesceDeadlineFlushes},
+		{"coalesce_refills", &c.CoalesceRefills},
 	}
-	st := q.Stats()
-	sv := reflect.ValueOf(st)
-	for i := 0; i < sv.NumField(); i++ {
-		if got, want := sv.Field(i).Uint(), uint64(100+i); got != want {
-			t.Errorf("Stats dropped Counters.%s: got %d, want %d",
-				sv.Type().Field(i).Name, got, want)
+	w := c.words()
+	if len(fields) != len(w) {
+		t.Fatalf("census lists %d counters, Counters has %d", len(fields), len(w))
+	}
+	for i, f := range fields {
+		if counterKeys[i] != f.key || &w[i] != f.p {
+			t.Errorf("word %d has key %q; want %q, on the field the census names", i, counterKeys[i], f.key)
 		}
 	}
 
-	var a, b Counters
-	av := reflect.ValueOf(&a).Elem()
-	bv := reflect.ValueOf(&b).Elem()
-	for i := 0; i < av.NumField(); i++ {
-		av.Field(i).SetUint(uint64(i + 1))
-		bv.Field(i).SetUint(uint64(2 * (i + 1)))
+	q := New(2)
+	for i := range w {
+		q.handles[0].stats.words()[i] = uint64(100 + i)
+		q.handles[1].stats.words()[i] = uint64(i)
 	}
-	a.Add(b)
-	for i := 0; i < av.NumField(); i++ {
-		if got, want := av.Field(i).Uint(), uint64(3*(i+1)); got != want {
-			t.Errorf("Add dropped Counters.%s: got %d, want %d",
-				av.Type().Field(i).Name, got, want)
+	st := q.Stats()
+	st.Add(st)
+	m := st.Map()
+	if len(m) != len(counterKeys) {
+		t.Errorf("Map has %d keys, want %d", len(m), len(counterKeys))
+	}
+	for i, k := range counterKeys {
+		want := uint64(2 * (100 + 2*i))
+		if got := st.words()[i]; got != want {
+			t.Errorf("Stats+Add %s = %d, want %d", k, got, want)
 		}
+		if m[k] != want {
+			t.Errorf("Map[%q] = %d, want %d", k, m[k], want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { st.Add(q.Stats()) }); n != 0 {
+		t.Errorf("Stats+Add allocates %v objects per call, want 0", n)
 	}
 }

@@ -249,35 +249,8 @@ func buildWFOps(q *core.Queue, h *core.Handle, boxed bool) qiface.Ops {
 	}
 }
 
-// coreStatsMap flattens the core counters into the qiface.StatsProvider map
-// (the paper's Table 2 keys).
-func coreStatsMap(s core.Counters) map[string]uint64 {
-	return map[string]uint64{
-		"enq_fast":        s.EnqFast,
-		"enq_slow":        s.EnqSlow,
-		"deq_fast":        s.DeqFast,
-		"deq_slow":        s.DeqSlow,
-		"deq_empty":       s.DeqEmpty,
-		"spin_fallbacks":  s.SpinFallbacks,
-		"help_enq":        s.HelpEnq,
-		"help_deq":        s.HelpDeq,
-		"cleanups":        s.Cleanups,
-		"segments":        s.Segments,
-		"seg_cache_hits":  s.SegCacheHits,
-		"seg_pool_hits":   s.SegPoolHits,
-		"seg_allocs":      s.SegAllocs,
-		"enq_batch_calls": s.EnqBatchCalls,
-		"enq_batch_faas":  s.EnqBatchFAAs,
-		"deq_batch_calls": s.DeqBatchCalls,
-		"deq_batch_faas":  s.DeqBatchFAAs,
-		"fast_cas_fails":  s.FastCASFails,
-	}
-}
-
 // Stats implements qiface.StatsProvider for the paper's Table 2.
-func (a *wfAdapter) Stats() map[string]uint64 {
-	return coreStatsMap(a.q.Stats())
-}
+func (a *wfAdapter) Stats() map[string]uint64 { return a.q.Stats().Map() }
 
 // shardedAdapter drives the multi-lane sharded queue through the same
 // arena/boxed value adapters as the core. Each Register homes its handle by
@@ -330,7 +303,7 @@ func (a *shardedAdapter) Register() (qiface.Ops, error) {
 // empty dequeues).
 func (a *shardedAdapter) Stats() map[string]uint64 {
 	st := a.q.Stats()
-	m := coreStatsMap(st.Core)
+	m := st.Core.Map()
 	m["lanes"] = uint64(st.Lanes)
 	m["steals"] = st.Sharded.Steals
 	m["sweeps"] = st.Sharded.Sweeps

@@ -1,6 +1,10 @@
 package scq
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"wfqueue/internal/ctr"
+)
 
 // The helping layer: how dequeuers keep a bounded step count on a ring
 // whose raw operations are only lock-free.
@@ -59,7 +63,7 @@ import "unsafe"
 // the helper's operation is complete with (v, ok).
 func (h *Handle) helpPeers() (v unsafe.Pointer, done, ok bool) {
 	q := h.q
-	ctrInc(&h.stats.helpScans)
+	ctr.Inc(&h.stats.helpScans)
 	var target *Handle
 	var targetWord uint64
 	//wfqlint:bounded(THREADS, oldest-request scan: one load per preallocated handle slot)
@@ -83,12 +87,12 @@ func (h *Handle) helpPeers() (v unsafe.Pointer, done, ok bool) {
 	idx, got, exhausted := q.aq.dequeue(helpTickets)
 	if got {
 		if target.deqReq.CompareAndSwap(targetWord, targetWord-reqAwait+reqDonated+idx) {
-			ctrInc(&h.stats.helpDonated)
+			ctr.Inc(&h.stats.helpDonated)
 			return nil, false, false
 		}
 		// The request closed first (the owner or another helper won):
 		// keep the value as this dequeuer's own result.
-		ctrInc(&h.stats.deqFast)
+		ctr.Inc(&h.stats.deqFast)
 		return h.takeVal(idx), true, true
 	}
 	if !exhausted {
@@ -103,7 +107,7 @@ func (h *Handle) helpPeers() (v unsafe.Pointer, done, ok bool) {
 // dequeueSlow is the published-request path of Dequeue.
 func (h *Handle) dequeueSlow() (unsafe.Pointer, bool) {
 	q := h.q
-	ctrInc(&h.stats.deqSlow)
+	ctr.Inc(&h.stats.deqSlow)
 	//wfqlint:bounded(HELP, each round ends in a donation (request word changed), an own-attempt success, or an own-attempt EMPTY proof; a round continues only when the own attempt exhausted its ticket budget, which requires other operations to have completed ring transitions meanwhile — under the §7 model (active peer dequeuers help oldest-first, or enqueuers quiesce so the threshold bound applies) the number of rounds is bounded; the residual gap versus full DWCAS-based wCQ is documented in DESIGN.md §7)
 	for {
 		epoch := q.epoch.Add(1)
@@ -131,10 +135,10 @@ func (h *Handle) dequeueSlow() (unsafe.Pointer, bool) {
 			h.deqReq.Store(reqIdle)
 			marker := donated & (1<<q.reqBits - 1)
 			if marker == reqEmpty {
-				ctrInc(&h.stats.deqEmpty)
+				ctr.Inc(&h.stats.deqEmpty)
 				return nil, false
 			}
-			ctrInc(&h.stats.deqDonations)
+			ctr.Inc(&h.stats.deqDonations)
 			return h.takeVal(marker - reqDonated), true
 		}
 
@@ -144,7 +148,7 @@ func (h *Handle) dequeueSlow() (unsafe.Pointer, bool) {
 			return h.takeVal(idx), true
 		}
 		if !exhausted {
-			ctrInc(&h.stats.deqEmpty)
+			ctr.Inc(&h.stats.deqEmpty)
 			return nil, false
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"wfqueue/internal/ctr"
 	"wfqueue/internal/pad"
 )
 
@@ -226,14 +227,14 @@ func (h *Handle) TryEnqueue(v unsafe.Pointer) error {
 	q := h.q
 	idx, ok, _ := q.fq.dequeue(0) // unbudgeted: bounded by fq's threshold
 	if !ok {
-		ctrInc(&h.stats.enqFull)
+		ctr.Inc(&h.stats.enqFull)
 		return ErrFull
 	}
 	// Plain store: the aq.enqueue CAS publishing idx is the release edge,
 	// and the consumer's slot load is the matching acquire.
 	q.vals[idx] = v
 	q.aq.enqueue(idx)
-	ctrInc(&h.stats.enq)
+	ctr.Inc(&h.stats.enq)
 	return nil
 }
 
@@ -251,11 +252,11 @@ func (h *Handle) Dequeue() (unsafe.Pointer, bool) {
 	}
 	idx, ok, exhausted := q.aq.dequeue(fastTickets)
 	if ok {
-		ctrInc(&h.stats.deqFast)
+		ctr.Inc(&h.stats.deqFast)
 		return h.takeVal(idx), true
 	}
 	if !exhausted {
-		ctrInc(&h.stats.deqEmpty)
+		ctr.Inc(&h.stats.deqEmpty)
 		return nil, false
 	}
 	return h.dequeueSlow()
@@ -276,14 +277,14 @@ func (q *Queue) Stats() map[string]uint64 {
 	m := map[string]uint64{}
 	for i := range q.handles {
 		h := &q.handles[i]
-		m["enq"] += ctrLoad(&h.stats.enq)
-		m["enq_full"] += ctrLoad(&h.stats.enqFull)
-		m["deq_fast"] += ctrLoad(&h.stats.deqFast)
-		m["deq_slow"] += ctrLoad(&h.stats.deqSlow)
-		m["deq_empty"] += ctrLoad(&h.stats.deqEmpty)
-		m["help_scans"] += ctrLoad(&h.stats.helpScans)
-		m["help_donated"] += ctrLoad(&h.stats.helpDonated)
-		m["deq_donations"] += ctrLoad(&h.stats.deqDonations)
+		m["enq"] += ctr.Load(&h.stats.enq)
+		m["enq_full"] += ctr.Load(&h.stats.enqFull)
+		m["deq_fast"] += ctr.Load(&h.stats.deqFast)
+		m["deq_slow"] += ctr.Load(&h.stats.deqSlow)
+		m["deq_empty"] += ctr.Load(&h.stats.deqEmpty)
+		m["help_scans"] += ctr.Load(&h.stats.helpScans)
+		m["help_donated"] += ctr.Load(&h.stats.helpDonated)
+		m["deq_donations"] += ctr.Load(&h.stats.deqDonations)
 	}
 	return m
 }

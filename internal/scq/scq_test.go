@@ -373,47 +373,6 @@ func TestHelpingEmptyWitness(t *testing.T) {
 	owner.deqReq.Store(reqIdle)
 }
 
-// TestWarmRingZeroAlloc is the tentpole's first perf claim in miniature:
-// steady-state TryEnqueue/Dequeue on a warm ring performs zero heap
-// allocations and touches no segment pool (there is none to touch).
-func TestWarmRingZeroAlloc(t *testing.T) {
-	q, err := New(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	vals := make([]unsafe.Pointer, 64)
-	for i := range vals {
-		vals[i] = box(uint64(i))
-	}
-	// Warm: one full cycle through every slot.
-	for _, v := range vals {
-		if err := h.TryEnqueue(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range vals {
-		if _, ok := h.Dequeue(); !ok {
-			t.Fatal("warmup dequeue failed")
-		}
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := h.TryEnqueue(vals[0]); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := h.Dequeue(); !ok {
-			t.Fatal("dequeue failed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm ring hot path allocates %.2f objects/op, want 0", allocs)
-	}
-}
-
 // TestStatsKeys pins the Stats surface the registry adapter exposes.
 func TestStatsKeys(t *testing.T) {
 	q, _ := New(1, 8)

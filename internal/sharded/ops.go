@@ -1,6 +1,10 @@
 package sharded
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"wfqueue/internal/ctr"
+)
 
 // sweepLane maps sweep position off ∈ [1, lanes) to a lane index: the
 // cyclic neighbor home+off mod lanes.
@@ -20,8 +24,8 @@ func (q *Queue) stealFrom(h *Handle, li int) (unsafe.Pointer, bool) {
 		return nil, false
 	}
 	q.lanes[li].stolenFrom.Add(1)
-	ctrInc(&h.stats.Steals)
-	ctrInc(&h.stats.Dequeues)
+	ctr.Inc(&h.stats.Steals)
+	ctr.Inc(&h.stats.Dequeues)
 	return v, true
 }
 
@@ -30,7 +34,7 @@ func (q *Queue) stealFrom(h *Handle, li int) (unsafe.Pointer, bool) {
 // one core enqueue.
 func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	q.lanes[h.home].q.Enqueue(h.hs[h.home], v)
-	ctrInc(&h.stats.Enqueues)
+	ctr.Inc(&h.stats.Enqueues)
 }
 
 // Dequeue removes and returns a value, or ok=false if every lane was
@@ -51,12 +55,12 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 func (q *Queue) Dequeue(h *Handle) (unsafe.Pointer, bool) {
 	v, ok := q.lanes[h.home].q.Dequeue(h.hs[h.home])
 	if ok {
-		ctrInc(&h.stats.Dequeues)
+		ctr.Inc(&h.stats.Dequeues)
 		return v, true
 	}
 	n := len(q.lanes)
 	if n > 1 {
-		ctrInc(&h.stats.Sweeps)
+		ctr.Inc(&h.stats.Sweeps)
 		// Hint pass: steal from lanes that look non-empty.
 		//wfqlint:bounded(LANES, hint pass: at most one steal attempt per non-home lane)
 		for off := 1; off < n; off++ {
@@ -78,7 +82,7 @@ func (q *Queue) Dequeue(h *Handle) (unsafe.Pointer, bool) {
 			}
 		}
 	}
-	ctrInc(&h.stats.EmptyDequeues)
+	ctr.Inc(&h.stats.EmptyDequeues)
 	return nil, false
 }
 
@@ -90,7 +94,7 @@ func (q *Queue) EnqueueBatch(h *Handle, vs []unsafe.Pointer) {
 		return
 	}
 	q.lanes[h.home].q.EnqueueBatch(h.hs[h.home], vs)
-	ctrAdd(&h.stats.Enqueues, uint64(len(vs)))
+	ctr.Add(&h.stats.Enqueues, uint64(len(vs)))
 }
 
 // DequeueBatch fills dst from the home lane first, then tops up any
@@ -105,18 +109,18 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 	got := q.lanes[h.home].q.DequeueBatch(h.hs[h.home], dst)
 	n := len(q.lanes)
 	if got < len(dst) && n > 1 {
-		ctrInc(&h.stats.Sweeps)
+		ctr.Inc(&h.stats.Sweeps)
 		//wfqlint:bounded(LANES, batch sweep: at most one per-lane DequeueBatch per non-home lane)
 		for off := 1; off < n && got < len(dst); off++ {
 			li := h.sweepLane(off)
 			m := q.lanes[li].q.DequeueBatch(h.hs[li], dst[got:])
 			if m > 0 {
 				q.lanes[li].stolenFrom.Add(uint64(m))
-				ctrAdd(&h.stats.Steals, uint64(m))
+				ctr.Add(&h.stats.Steals, uint64(m))
 			}
 			got += m
 		}
 	}
-	ctrAdd(&h.stats.Dequeues, uint64(got))
+	ctr.Add(&h.stats.Dequeues, uint64(got))
 	return got
 }

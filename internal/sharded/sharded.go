@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 
 	"wfqueue/internal/core"
+	"wfqueue/internal/ctr"
 	"wfqueue/internal/pad"
 )
 
@@ -335,11 +336,11 @@ func (h *Handle) Release() {
 }
 
 func (c *Counters) add(o *Counters) {
-	c.Enqueues += ctrLoad(&o.Enqueues)
-	c.Dequeues += ctrLoad(&o.Dequeues)
-	c.EmptyDequeues += ctrLoad(&o.EmptyDequeues)
-	c.Steals += ctrLoad(&o.Steals)
-	c.Sweeps += ctrLoad(&o.Sweeps)
+	c.Enqueues += ctr.Load(&o.Enqueues)
+	c.Dequeues += ctr.Load(&o.Dequeues)
+	c.EmptyDequeues += ctr.Load(&o.EmptyDequeues)
+	c.Steals += ctr.Load(&o.Steals)
+	c.Sweeps += ctr.Load(&o.Sweeps)
 }
 
 // Size returns an instantaneous approximation of the total queue length

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"wfqueue/internal/ctr"
 )
 
 // TestStealWhitebox walks the two sweep passes deterministically. One value
@@ -144,9 +146,9 @@ func TestStealAdversary(t *testing.T) {
 	st := q.Stats()
 	var steals, stolenFrom uint64
 	for _, c := range chs {
-		steals += ctrLoad(&c.stats.Steals)
-		if d := ctrLoad(&c.stats.Dequeues); d != ctrLoad(&c.stats.Steals) {
-			t.Errorf("consumer dequeues %d != steals %d (home lane was never fed)", d, ctrLoad(&c.stats.Steals))
+		steals += ctr.Load(&c.stats.Steals)
+		if d := ctr.Load(&c.stats.Dequeues); d != ctr.Load(&c.stats.Steals) {
+			t.Errorf("consumer dequeues %d != steals %d (home lane was never fed)", d, ctr.Load(&c.stats.Steals))
 		}
 	}
 	if steals != uint64(total) {
@@ -220,8 +222,8 @@ func TestStealContendedLane(t *testing.T) {
 	// All of the thief's takes came off lane 1 (its own lane never had
 	// values), so the lane tally must equal the thief's steal count.
 	st := q.Stats()
-	if st.StolenFrom[1] != ctrLoad(&thief.stats.Steals) {
-		t.Errorf("StolenFrom[1] = %d, thief Steals = %d", st.StolenFrom[1], ctrLoad(&thief.stats.Steals))
+	if st.StolenFrom[1] != ctr.Load(&thief.stats.Steals) {
+		t.Errorf("StolenFrom[1] = %d, thief Steals = %d", st.StolenFrom[1], ctr.Load(&thief.stats.Steals))
 	}
 }
 

@@ -126,10 +126,18 @@ func (q *Queue[T]) CoalesceWindow() int { return q.q.CoalesceWindow() }
 // exact only while the queue is quiescent.
 func (q *Queue[T]) Len() int { return int(q.q.Size()) }
 
+// Counters are a queue's execution-path counters, the paper's Table 2
+// instrumentation: operations completed on the fast and slow paths (EnqFast,
+// EnqSlow, DeqFast, DeqSlow), EMPTY dequeues (DeqEmpty), helping (HelpEnq,
+// HelpDeq), reclamation and segment reuse (Cleanups, Segments, SegAllocs,
+// ...), batching and coalescing. Add sums two snapshots; Map keys each
+// counter by its snake_case field name.
+type Counters = core.Counters
+
 // Stats returns aggregate execution-path counters: how many operations
 // completed on the fast and slow paths, EMPTY dequeues, helping events and
 // reclamation activity. Useful for tuning PATIENCE and for observability.
-func (q *Queue[T]) Stats() core.Counters { return q.q.Stats() }
+func (q *Queue[T]) Stats() Counters { return q.q.Stats() }
 
 // ReclaimedSegments reports how many retired segments the reclamation
 // scheme has freed since construction.
