@@ -17,6 +17,8 @@ ci: build vet lint cert-check
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	$(GO) test -short -count=1 ./...
 	$(GO) test -race -short -count=1 ./...
+	$(GO) test -race -count=1 -run 'IdlePoll|Precheck' ./internal/core
+	$(GO) test -count=1 -run 'IdlePoll' ./internal/core
 	$(GO) test -count=1 -run 'Recycl|Reclaim|Hazard|TinySegments|RemappedSegments' ./internal/core
 	$(GO) test ./internal/core -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/scq -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'

@@ -290,8 +290,10 @@ func ShardedSteadyStateAllocs(ops int) SteadyStateResult {
 	// One handle per lane, all driven by this goroutine in rotation: every
 	// lane keeps receiving enqueues, so the cells the EMPTY sweeps poison on
 	// foreign lanes are continually passed by that lane's own T and the
-	// segments recycle (a lane polled but never fed retains segments by the
-	// core's design — that is a workload property, not an allocation bug).
+	// segments recycle. A sweep poisons at most one cell per lane and empty
+	// streak: once a core handle has seen EMPTY, its next dequeue tests
+	// T ≤ H and takes no cell, so a lane polled but never fed stops growing
+	// after the first poll of each streak.
 	var hs [4]*sharded.Handle
 	for i := range hs {
 		h, err := q.RegisterOnLane(i)

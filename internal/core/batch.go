@@ -146,6 +146,12 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 	}
 	k := int64(len(dst))
 
+	// An idle poller tests T ≤ H before reserving k cells (emptyPrecheck).
+	if h.deqIdle && q.emptyPrecheck() {
+		ctr.Inc(&h.stats.DeqEmpty)
+		return 0
+	}
+
 	// §3.6: publish the hazard pointer before the operation; the FAA below
 	// orders the publication (plainHazard).
 	hz := hazardID(&h.head)
@@ -222,5 +228,6 @@ func (q *Queue) DequeueBatch(h *Handle, dst []unsafe.Pointer) int {
 		dst[n] = v
 		n++
 	}
+	h.deqIdle = int64(n) < k
 	return n
 }

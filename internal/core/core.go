@@ -187,6 +187,11 @@ type Handle struct {
 	// Dequeue helping state.
 	deqPeerIdx int
 
+	// deqIdle is set while this handle's last dequeue came back EMPTY (its
+	// last DequeueBatch short); the next dequeue then tests T ≤ H before
+	// taking a cell (emptyPrecheck). Owner-only.
+	deqIdle bool
+
 	// spare is scratch space reused by cleanup to avoid per-call
 	// allocation (the C original uses a VLA).
 	spare []*Handle

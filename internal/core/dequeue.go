@@ -12,6 +12,13 @@ import (
 // 4.4): it completes within a bounded number of steps regardless of the
 // scheduling of other threads.
 func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
+	// An idle poller tests T ≤ H before taking a cell (emptyPrecheck): no
+	// hazard, no cell access, no cleanup, and no cell poisoned.
+	if h.deqIdle && q.emptyPrecheck() {
+		ctr.Inc(&h.stats.DeqEmpty)
+		return nil, false
+	}
+
 	// §3.6: publish the hazard pointer before the operation; deqFast's FAA
 	// orders the publication (plainHazard, hazard_plain.go).
 	hz := hazardID(&h.head)
@@ -58,10 +65,25 @@ func (q *Queue) Dequeue(h *Handle) (v unsafe.Pointer, ok bool) {
 	}
 	q.cleanup(h)
 
+	h.deqIdle = v == emptyVal
 	if v == emptyVal {
 		return nil, false
 	}
 	return v, true
+}
+
+// emptyPrecheck reports whether the queue is empty by loading H and then T:
+// if the T load reads t ≤ h, the H load's value, then at the instant of the
+// T load H ≥ h ≥ t = T, and an EMPTY linearizes there (DESIGN.md §3).
+// Every enqueue that completed before the call deposited below t, and the
+// dequeue that takes each such value holds an index or request id below h,
+// handed out before the H load. Later enqueues get indices ≥ t and later
+// dequeues ≥ h. The loads must stay in this order: read T first and no
+// single instant need have T ≤ H. The test dereferences no segment, so it
+// needs no hazard, and it neither poisons a cell nor helps a request.
+func (q *Queue) emptyPrecheck() bool {
+	head := atomic.LoadInt64(&q.H)
+	return atomic.LoadInt64(&q.T) <= head
 }
 
 // deqFast is the Listing 1 fast path augmented with enqueue helping (paper

@@ -29,8 +29,11 @@ func (q *Queue) cleanup(h *Handle) {
 	// §3.6: segment[k] is retired only when BOTH T and H have moved past
 	// k×N. The cleaner's head segment tracks H; additionally clamp the
 	// target to the segment of min(T, H), or a queue polled while empty
-	// (H far ahead of T) would free segments that future enqueues, whose
-	// FAA on T yields small indices, still need. Both indices are
+	// (H ahead of T) would free segments that future enqueues, whose FAA
+	// on T yields smaller indices, still need. Idle polls no longer run H
+	// far ahead (a handle that saw EMPTY tests T ≤ H before its next FAA),
+	// but each empty streak's first dequeue still takes one cell past T,
+	// k for a batch, so the lead is small, not zero. Both indices are
 	// monotonic, so stale loads only make the clamp more conservative.
 	limit := atomic.LoadInt64(&q.T)
 	if hIdx := atomic.LoadInt64(&q.H); hIdx < limit {

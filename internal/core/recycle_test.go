@@ -195,9 +195,10 @@ func recycleHazardRace(t *testing.T, shift uint) {
 // holds its hazard, and that pins every segment after it while the other
 // handles keep linking new ones. Here at most capacity values are queued
 // throughout, yet N pairs grow the live list by N/S segments (S cells per
-// segment: a pair moves both indices one cell along the same list), and by
-// up to 2N/S when dequeues find the queue empty and burn cells the
-// enqueues must skip. Clearing the hazard gives it all back: the list
+// segment: a pair moves both indices one cell along the same list), plus
+// one cell per handle per empty streak when dequeues find the queue empty
+// and burn a cell the enqueues must skip (the backlog here keeps every
+// dequeue non-empty). Clearing the hazard gives it all back: the list
 // shrinks to a few segments and the spare slots plus the handle caches
 // keep at most 2·maxGarbage + 2·maxThreads, the bound TestPoolRetentionBound
 // pins.

@@ -40,10 +40,12 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 // Dequeue removes and returns a value, or ok=false if every lane was
 // observed empty during the call. The home lane is drained first; when it
 // reports EMPTY the consumer turns work-stealer and sweeps the other lanes
-// in cyclic order — first the lanes whose size hint is nonzero (a real
-// dequeue on an empty lane poisons a cell, so the cheap racy hint filters
-// most misses), then, if the hint pass came back dry, a definitive pass
-// that performs a real dequeue on every remaining lane. Each of those EMPTY
+// in cyclic order — first the lanes whose size hint is nonzero (the cheap
+// racy hint filters most misses: a real dequeue on an empty lane poisons a
+// cell when this handle's last dequeue there returned a value, and
+// otherwise still pays the core's T ≤ H test), then, if the hint pass came
+// back dry, a definitive pass that performs a real dequeue on every
+// remaining lane. Each of those EMPTY
 // returns is a per-lane linearization point inside this call's interval,
 // which is exactly the emptiness guarantee the relaxed contract makes
 // (package comment; DESIGN.md §4).
