@@ -329,3 +329,32 @@ func TestBoxZeroedOnRecycle(t *testing.T) {
 		}
 	})
 }
+
+// registerAllocs is what one Register+Release costs on either façade: the
+// handle itself, its box free list (boxFreeListCap slots, sized once at
+// registration) and the finalizer record. The core lifecycle underneath
+// allocates nothing (internal/bench TestChurnAllocsZero).
+const registerAllocs = 3
+
+// TestRegisterReleaseAllocs pins the façades' handle lifecycle at
+// registerAllocs allocations per Register+Release, so the bounded façade,
+// which registers through Queue[T]'s handle, costs no more than it does.
+func TestRegisterReleaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
+	}
+	for _, f := range facades(t, 1) {
+		t.Run(f.name, func(t *testing.T) {
+			n := testing.AllocsPerRun(1000, func() {
+				h, err := f.register()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Release()
+			})
+			if n != registerAllocs {
+				t.Errorf("%s: Register+Release allocated %v objects, want %d", f.name, n, registerAllocs)
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 package wfqueue
 
-// The bounded façade: the same wait-free core as Queue[T] (internal/core,
-// the paper's FAA queue) plus one cache-line-padded occupancy counter
-// (DESIGN.md §7.1). TryEnqueue takes a unit of the counter before it enqueues
+// The bounded façade: a Queue[T], whose handles, boxes and counters it
+// uses unchanged, plus one cache-line-padded occupancy counter (DESIGN.md
+// §7.1). TryEnqueue takes a unit of the counter before it enqueues
 // and gives it back when the counter was already at capacity; Dequeue
 // returns a unit after the core hands it a value. The counter never falls
 // below the number of values in the core, so the queue never holds more
@@ -21,7 +21,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 
 	"wfqueue/internal/core"
 	"wfqueue/internal/pad"
@@ -48,10 +47,9 @@ const (
 // Both operations run the wait-free core, so TryEnqueue and Dequeue complete
 // in a bounded number of steps, as Queue[T]'s do.
 type BoundedQueue[T any] struct {
-	q        *core.Queue
+	// q is the unbounded queue the handles run on: its core and box pools.
+	q        Queue[T]
 	capacity int64
-	// boxes is the handles' shared supply of value-box blocks (boxCache).
-	boxes boxPools
 
 	_ pad.CacheLinePad
 	// n is the occupancy counter: values in the core, plus accepted
@@ -60,9 +58,6 @@ type BoundedQueue[T any] struct {
 	// theirs back. Every operation touches it, so it has its own line.
 	n atomic.Int64
 	_ pad.CacheLinePad
-	// full counts ErrFull rejections. Only the rejection path writes it.
-	full atomic.Uint64
-	_    pad.CacheLinePad
 }
 
 // NewBounded creates a bounded queue with at least the requested value
@@ -85,19 +80,19 @@ func NewBounded[T any](maxHandles, capacity int) (*BoundedQueue[T], error) {
 	if capacity > c {
 		c = 1 << bits.Len(uint(capacity-1))
 	}
-	return &BoundedQueue[T]{q: core.New(maxHandles), capacity: int64(c)}, nil
+	return &BoundedQueue[T]{q: Queue[T]{q: core.New(maxHandles)}, capacity: int64(c)}, nil
 }
 
 // Register checks out a BoundedHandle. It returns ErrTooManyHandles when
 // maxHandles handles are already in use. Like Queue[T].Register, a handle
 // that becomes garbage without Release is returned by a finalizer.
 func (q *BoundedQueue[T]) Register() (*BoundedHandle[T], error) {
-	h, err := q.q.Register()
+	h, err := q.q.q.Register()
 	if err != nil {
 		return nil, err
 	}
-	hh := &BoundedHandle[T]{q: q, h: h, boxCache: newBoxCache[T](&q.boxes)}
-	runtime.SetFinalizer(hh, func(hh *BoundedHandle[T]) { hh.release() })
+	hh := &BoundedHandle[T]{q: q}
+	q.q.attach(&hh.h, h)
 	return hh, nil
 }
 
@@ -113,51 +108,38 @@ func (q *BoundedQueue[T]) MaxHandles() int { return q.q.Capacity() }
 // exact only while the queue is quiescent.
 func (q *BoundedQueue[T]) Len() int { return int(min(max(q.n.Load(), 0), q.capacity)) }
 
-// Stats returns the queue's execution-path counters, summed across handles:
-// every core counter under its snake_case field name (Counters.EnqFast is
-// "enq_fast", Counters.DeqEmpty is "deq_empty"; the key table beside
-// Counters in internal/core lists them all), plus
-//
-//   - enq_full: enqueue attempts that met a full queue (TryEnqueue's
-//     ErrFull, and each retry of the blocking Enqueue)
-//
-// A rejected enqueue never reaches the core, so enq_full is counted here.
-func (q *BoundedQueue[T]) Stats() map[string]uint64 {
-	m := q.q.Stats().Map()
-	m["enq_full"] = q.full.Load()
-	return m
+// Stats returns the queue's execution-path counters, summed across handles,
+// keyed as Counters.Map keys them. enq_full counts the enqueue attempts
+// that met a full queue: TryEnqueue's ErrFull, and each retry of the
+// blocking Enqueue.
+func (q *BoundedQueue[T]) Stats() map[string]uint64 { return q.q.Stats().Map() }
+
+// BoundedHandle is a registration of one concurrent participant in a
+// BoundedQueue. A BoundedHandle must be used by at most one goroutine at a
+// time.
+type BoundedHandle[T any] struct {
+	// h is the handle the operations run on: its registration, box cache
+	// and Release. It must stay the first field (Queue[T].attach).
+	h Handle[T]
+	q *BoundedQueue[T]
 }
 
-// reserve takes one unit of occupancy for an enqueue, or reports false
-// when the queue was already at capacity. A load first turns away an
-// enqueue that meets a full counter without writing its line; otherwise
-// the add decides, and a loser gives its unit straight back. Both tests
-// are the same FULL condition: the count before the add is ≥ capacity.
-func (q *BoundedQueue[T]) reserve() bool {
+// reserve takes one unit of occupancy for an enqueue, or counts a
+// rejection and reports false when the queue was already at capacity. A
+// load first turns away an enqueue that meets a full counter without
+// writing its line; otherwise the add decides, and a loser gives its unit
+// straight back. Both tests are the same FULL condition: the count before
+// the add is ≥ capacity.
+func (h *BoundedHandle[T]) reserve() bool {
+	q := h.q
 	if q.n.Load() < q.capacity {
 		if q.n.Add(1) <= q.capacity {
 			return true
 		}
 		q.n.Add(-1)
 	}
-	q.full.Add(1)
+	h.h.h.CountFull()
 	return false
-}
-
-// BoundedHandle is a registration of one concurrent participant in a
-// BoundedQueue. A BoundedHandle must be used by at most one goroutine at a
-// time.
-type BoundedHandle[T any] struct {
-	q        *BoundedQueue[T]
-	h        *core.Handle
-	released atomic.Bool
-	boxCache[T]
-}
-
-func (h *BoundedHandle[T]) check() {
-	if h.released.Load() {
-		panic("wfqueue: operation on released BoundedHandle")
-	}
 }
 
 // TryEnqueue appends v to the queue, or returns ErrFull when the queued
@@ -166,13 +148,11 @@ func (h *BoundedHandle[T]) check() {
 // the value. A rejection takes no value box, so even an enqueue loop running
 // entirely against a full queue allocates nothing.
 func (h *BoundedHandle[T]) TryEnqueue(v T) error {
-	h.check()
-	if !h.q.reserve() {
+	h.h.check()
+	if !h.reserve() {
 		return ErrFull
 	}
-	b := h.getBox()
-	*b = v
-	h.q.q.Enqueue(h.h, unsafe.Pointer(b))
+	h.h.put(v)
 	return nil
 }
 
@@ -182,44 +162,23 @@ func (h *BoundedHandle[T]) TryEnqueue(v T) error {
 // not wait-free across one — callers that need a bounded-step enqueue use
 // TryEnqueue and handle ErrFull themselves.
 func (h *BoundedHandle[T]) Enqueue(v T) {
-	h.check()
-	for !h.q.reserve() {
+	h.h.check()
+	for !h.reserve() {
 		runtime.Gosched()
 	}
-	b := h.getBox()
-	*b = v
-	h.q.q.Enqueue(h.h, unsafe.Pointer(b))
+	h.h.put(v)
 }
 
 // Dequeue removes and returns the oldest value. ok is false when the queue
 // was observed empty (a valid linearization point at which it held no
 // values).
 func (h *BoundedHandle[T]) Dequeue() (v T, ok bool) {
-	h.check()
-	p, ok := h.q.q.Dequeue(h.h)
-	if !ok {
-		var zero T
-		return zero, false
+	if v, ok = h.h.Dequeue(); ok {
+		h.q.n.Add(-1)
 	}
-	h.q.n.Add(-1)
-	b := (*T)(p)
-	v = *b
-	h.putBox(b)
-	return v, true
+	return v, ok
 }
 
 // Release returns the handle to the queue's pool. Any further operation on
 // the handle panics; Release itself is idempotent.
-func (h *BoundedHandle[T]) Release() {
-	if h.released.Swap(true) {
-		return
-	}
-	runtime.SetFinalizer(h, nil)
-	h.h.Release()
-}
-
-func (h *BoundedHandle[T]) release() {
-	if !h.released.Swap(true) {
-		h.h.Release()
-	}
-}
+func (h *BoundedHandle[T]) Release() { h.h.Release() }

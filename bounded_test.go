@@ -108,6 +108,33 @@ func TestBoundedRejectAtCapacity(t *testing.T) {
 	}
 }
 
+// TestBoundedStatsShape: BoundedQueue.Stats has exactly Counters.Map's key
+// set (enq_full among them, TestCountersCensus); Queue[T], which never
+// rejects an enqueue, reads EnqFull 0.
+func TestBoundedStatsShape(t *testing.T) {
+	q, h := mustBounded[int](t, 1, 4)
+	defer h.Release()
+	st, want := q.Stats(), wfqueue.Counters{}.Map()
+	if len(st) != len(want) {
+		t.Errorf("Stats has %d keys, Counters.Map has %d", len(st), len(want))
+	}
+	for k := range want {
+		if _, ok := st[k]; !ok {
+			t.Errorf("Stats lacks Counters.Map key %q", k)
+		}
+	}
+
+	u := wfqueue.New[int](1)
+	uh := mustRegister(t, u)
+	defer uh.Release()
+	for i := 0; i < 100; i++ {
+		uh.Enqueue(i)
+	}
+	if n := u.Stats().EnqFull; n != 0 {
+		t.Errorf("Queue[int] EnqFull = %d, want 0", n)
+	}
+}
+
 func TestBoundedCapacityRounding(t *testing.T) {
 	q, err := wfqueue.NewBounded[int](1, 5)
 	if err != nil {

@@ -113,7 +113,9 @@ func RepoConfig(root string) Config {
 		// the queue operations: it is documented lock-free, so nothing
 		// reachable from it may park a goroutine either.
 		HotPaths: map[string][]string{
-			PkgCore:    append([]string{"Register", "Release"}, hot...),
+			// CountFull is the bounded façade's rejection path: its one core
+			// call, made instead of an enqueue.
+			PkgCore:    append([]string{"Register", "Release", "CountFull"}, hot...),
 			PkgSharded: append([]string{"Register", "RegisterOnLane", "Release"}, hot...),
 			// The bounded ring's hot quartet plus its lock-free lifecycle:
 			// nothing reachable from any of them may park a goroutine
@@ -137,8 +139,9 @@ func RepoConfig(root string) Config {
 				// idle-polling consumers wait with between EMPTY dequeues.
 				"pause", "Pause",
 				// Counter snapshots: Stats and Counters.Add walk the counter
-				// words in place.
-				"Stats", "Add",
+				// words in place. CountFull bumps the bounded façade's
+				// rejection counter.
+				"Stats", "Add", "CountFull",
 				// Handle lifecycle: acquisition and release work over the
 				// preallocated handle array through a tagged free list and
 				// must not allocate either.

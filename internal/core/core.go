@@ -253,6 +253,10 @@ type Counters struct {
 	DeqFast  uint64 // dequeues completed on the fast path
 	DeqSlow  uint64 // dequeues completed on the slow path
 	DeqEmpty uint64 // dequeues that returned EMPTY
+	// EnqFull counts enqueues a bounded façade turned away at capacity
+	// (ErrFull), each retry of a blocking enqueue included. A rejection
+	// never reaches the queue, so the façade counts it through CountFull.
+	EnqFull uint64
 	// FastCASFails counts fast-path attempts that failed to claim their
 	// cell: an enqueue's value CAS lost, or a dequeue's visit yielded a
 	// poisoned cell or a lost claim CAS.
@@ -298,7 +302,7 @@ type Counters struct {
 // key i is field i. Add, Queue.Stats and Map walk Counters as an array of
 // len(counterKeys) words, so this table is the one list of the counter set.
 var counterKeys = [...]string{
-	"enq_fast", "enq_slow", "deq_fast", "deq_slow", "deq_empty",
+	"enq_fast", "enq_slow", "deq_fast", "deq_slow", "deq_empty", "enq_full",
 	"fast_cas_fails", "spin_fallbacks", "help_enq", "help_deq",
 	"cleanups", "segments", "seg_cache_hits", "seg_pool_hits", "seg_allocs",
 	"enq_batch_calls", "enq_batch_faas", "deq_batch_calls", "deq_batch_faas",
@@ -337,6 +341,10 @@ func (c Counters) Map() map[string]uint64 {
 	}
 	return m
 }
+
+// CountFull counts one enqueue that a bounded façade turned away at
+// capacity on handle h (Counters.EnqFull). Only h's owner calls it.
+func (h *Handle) CountFull() { ctr.Inc(&h.stats.EnqFull) }
 
 // Queue is the wait-free FIFO queue. Create instances with New; all
 // operations go through Handles obtained from Register.

@@ -475,11 +475,12 @@ func TestCountersCensus(t *testing.T) {
 	}{
 		{"enq_fast", &c.EnqFast}, {"enq_slow", &c.EnqSlow},
 		{"deq_fast", &c.DeqFast}, {"deq_slow", &c.DeqSlow},
-		{"deq_empty", &c.DeqEmpty}, {"fast_cas_fails", &c.FastCASFails},
-		{"spin_fallbacks", &c.SpinFallbacks}, {"help_enq", &c.HelpEnq},
-		{"help_deq", &c.HelpDeq}, {"cleanups", &c.Cleanups},
-		{"segments", &c.Segments}, {"seg_cache_hits", &c.SegCacheHits},
-		{"seg_pool_hits", &c.SegPoolHits}, {"seg_allocs", &c.SegAllocs},
+		{"deq_empty", &c.DeqEmpty}, {"enq_full", &c.EnqFull},
+		{"fast_cas_fails", &c.FastCASFails}, {"spin_fallbacks", &c.SpinFallbacks},
+		{"help_enq", &c.HelpEnq}, {"help_deq", &c.HelpDeq},
+		{"cleanups", &c.Cleanups}, {"segments", &c.Segments},
+		{"seg_cache_hits", &c.SegCacheHits}, {"seg_pool_hits", &c.SegPoolHits},
+		{"seg_allocs", &c.SegAllocs},
 		{"enq_batch_calls", &c.EnqBatchCalls}, {"enq_batch_faas", &c.EnqBatchFAAs},
 		{"deq_batch_calls", &c.DeqBatchCalls}, {"deq_batch_faas", &c.DeqBatchFAAs},
 		{"coalesce_flushes", &c.CoalesceFlushes},

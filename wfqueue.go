@@ -26,9 +26,11 @@
 // segment hints are per-thread state (the paper's handle_t). A Handle may
 // be used by one goroutine at a time; Release returns it for reuse so a
 // pool of workers larger than the momentary concurrency can share a queue.
-// Register and Release are themselves lock-free and allocation-free (a
-// generation-tagged free list inside the core queue — DESIGN.md §6), so
-// short-lived goroutines can register per task:
+// Register and Release are themselves lock-free: the slot comes from a
+// generation-tagged free list inside the core queue (DESIGN.md §6), which
+// allocates nothing. Register does allocate three objects: the Handle, its
+// 256-slot box free list and its finalizer record. Short-lived goroutines
+// can still register per task:
 //
 //	go func() {
 //		h, err := q.Register()
@@ -110,9 +112,20 @@ func (q *Queue[T]) Register() (*Handle[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	hh := &Handle[T]{q: q.q, h: h, cw: q.q.CoalesceWindow(), boxCache: newBoxCache[T](&q.boxes)}
-	runtime.SetFinalizer(hh, func(hh *Handle[T]) { hh.release() })
+	hh := new(Handle[T])
+	q.attach(hh, h)
 	return hh, nil
+}
+
+// attach builds hh around the checked-out core handle h and arms the
+// finalizer that returns h's slot once hh becomes garbage. The finalizer
+// belongs to the allocation hh starts, so hh must be its first word: a
+// BoundedHandle keeps its Handle as its first field and gets the same
+// lifecycle.
+func (q *Queue[T]) attach(hh *Handle[T], h *core.Handle) {
+	hh.q, hh.h, hh.cw = q.q, h, q.q.CoalesceWindow()
+	hh.boxCache = newBoxCache[T](&q.boxes)
+	runtime.SetFinalizer(hh, (*Handle[T]).release)
 }
 
 // Capacity returns the maximum number of concurrently registered handles.
@@ -130,8 +143,9 @@ func (q *Queue[T]) Len() int { return int(q.q.Size()) }
 // instrumentation: operations completed on the fast and slow paths (EnqFast,
 // EnqSlow, DeqFast, DeqSlow), EMPTY dequeues (DeqEmpty), helping (HelpEnq,
 // HelpDeq), reclamation and segment reuse (Cleanups, Segments, SegAllocs,
-// ...), batching and coalescing. Add sums two snapshots; Map keys each
-// counter by its snake_case field name.
+// ...), batching and coalescing, and a bounded queue's ErrFull rejections
+// (EnqFull, always 0 on a Queue). Add sums two snapshots; Map keys each
+// counter by its snake_case field name, the map BoundedQueue.Stats returns.
 type Counters = core.Counters
 
 // Stats returns aggregate execution-path counters: how many operations
@@ -187,6 +201,12 @@ func (h *Handle[T]) check() {
 // other goroutines can observe it.
 func (h *Handle[T]) Enqueue(v T) {
 	h.check()
+	h.put(v)
+}
+
+// put boxes v and enqueues it: Enqueue after its check, and the bounded
+// façade's enqueues after they took a unit of occupancy.
+func (h *Handle[T]) put(v T) {
 	b := h.getBox()
 	*b = v
 	h.q.CoalescedEnqueue(h.h, unsafe.Pointer(b))

@@ -326,31 +326,71 @@ func TestConcurrentBatchFacade(t *testing.T) {
 	}
 }
 
-// A handle leaked by a dead goroutine must eventually return to the pool
-// via its finalizer.
-func TestLeakedHandleReclaimed(t *testing.T) {
-	q := wfqueue.New[int](1)
-	func() {
-		h, err := q.Register()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Enqueue(1)
-		// h goes out of scope without Release — a "crashed" worker.
-	}()
-	var ok bool
-	for i := 0; i < 50 && !ok; i++ {
-		runtime.GC()
-		if h2, err := q.Register(); err == nil {
-			// Slot recovered; the queue content survived the leak.
-			if v, got := h2.Dequeue(); !got || v != 1 {
-				t.Fatalf("value lost across handle leak: (%d,%v)", v, got)
-			}
-			h2.Release()
-			ok = true
-		}
+// facadeHandle is the operation set the two façades' handles share.
+type facadeHandle interface {
+	Enqueue(int)
+	Dequeue() (int, bool)
+	Release()
+}
+
+// facade names one façade and registers handles on a fresh queue of it.
+type facade struct {
+	name     string
+	register func() (facadeHandle, error)
+}
+
+// facades builds one queue of each façade for maxHandles handles.
+func facades(t *testing.T, maxHandles int) []facade {
+	t.Helper()
+	b, err := wfqueue.NewBounded[int](maxHandles, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("leaked handle was never reclaimed by the finalizer")
+	return []facade{
+		{"Queue", registrar(wfqueue.New[int](maxHandles).Register)},
+		{"BoundedQueue", registrar(b.Register)},
+	}
+}
+
+func registrar[H facadeHandle](register func() (H, error)) func() (facadeHandle, error) {
+	return func() (facadeHandle, error) {
+		h, err := register()
+		if err != nil {
+			return nil, err
+		}
+		return h, nil
+	}
+}
+
+// TestLeakedHandleReclaimed: a handle leaked by a dead goroutine must
+// eventually return to the pool via its finalizer, on each façade, and the
+// value it enqueued must stay queued.
+func TestLeakedHandleReclaimed(t *testing.T) {
+	for _, f := range facades(t, 1) {
+		t.Run(f.name, func(t *testing.T) {
+			func() {
+				h, err := f.register()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Enqueue(1)
+				// h goes out of scope without Release — a "crashed" worker.
+			}()
+			var ok bool
+			for i := 0; i < 50 && !ok; i++ {
+				runtime.GC()
+				if h2, err := f.register(); err == nil {
+					// Slot recovered; the queue content survived the leak.
+					if v, got := h2.Dequeue(); !got || v != 1 {
+						t.Fatalf("value lost across handle leak: (%d,%v)", v, got)
+					}
+					h2.Release()
+					ok = true
+				}
+			}
+			if !ok {
+				t.Fatal("leaked handle was never reclaimed by the finalizer")
+			}
+		})
 	}
 }
