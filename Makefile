@@ -23,6 +23,7 @@ ci: build vet lint cert-check
 	$(GO) test ./internal/core -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/scq -fuzz FuzzAgainstModel -fuzztime 10s -run '^$$'
 	$(GO) test . -fuzz FuzzBoundedAgainstModel -fuzztime 10s -run '^$$'
+	$(MAKE) soak SOAK_FLAGS="-threads 4 -duration 1s"
 	cd wfqperf && $(GO) test -count=1 .
 
 build:
@@ -72,14 +73,28 @@ stress: | $(ARTIFACTS)
 	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 30s | tee $(ARTIFACTS)/stress_output.txt
 	$(GO) run ./cmd/wfqstress -queue wf-10 -mode lincheck -duration 10s | tee -a $(ARTIFACTS)/stress_output.txt
 
-# Long validation across every implementation, plus one batched pass over
-# the wait-free queue's native k-cell reservation path.
+# Long validation across every registered queue, plus one batched pass over
+# the wait-free queue's native k-cell reservation path. The queue list is the
+# first column of `wfqbench figure2 -list` minus faa, the microbenchmark
+# wfqstress rejects; the wf-coalesce* variants run under -coalesce, the
+# exact-accounting audit. CI runs this target with a short SOAK_FLAGS. A
+# failing run prints the tail of the log and fails the target.
+SOAK_FLAGS ?= -threads 8 -duration 10s
+SOAK_LOG = $(ARTIFACTS)/soak_output.txt
 soak: | $(ARTIFACTS)
-	for q in wf-10 wf-0 lcrq msqueue ccqueue kpqueue simqueue of chan wf-sharded wf-sharded-1; do \
-		$(GO) run ./cmd/wfqstress -queue $$q -threads 8 -duration 10s || exit 1; \
-	done 2>&1 | tee $(ARTIFACTS)/soak_output.txt
-	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -batch 8 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
-	$(GO) run ./cmd/wfqstress -queue wf-10 -threads 8 -duration 10s -coalesce 2>&1 | tee -a $(ARTIFACTS)/soak_output.txt
+	@queues=$$($(GO) run ./cmd/wfqbench figure2 -list | awk 'NR > 1 && $$1 != "faa" { print $$1 }'); \
+	test -n "$$queues" || { echo "soak: no queues listed"; exit 1; }; \
+	: > $(SOAK_LOG); \
+	run() { \
+		echo "soak: $$* $(SOAK_FLAGS)" | tee -a $(SOAK_LOG); \
+		$(GO) run ./cmd/wfqstress "$$@" $(SOAK_FLAGS) >> $(SOAK_LOG) 2>&1 || \
+			{ tail -n 30 $(SOAK_LOG); echo "soak: FAILED: $$*"; exit 1; }; \
+		tail -n 1 $(SOAK_LOG); \
+	}; \
+	for q in $$queues; do \
+		case $$q in wf-coalesce*) run -queue $$q -coalesce ;; *) run -queue $$q ;; esac; \
+	done; \
+	run -queue wf-10 -batch 8
 
 # Regenerate the paper's tables and figures (quick parameters; add
 # WFQ_FLAGS=-paper for the full methodology).

@@ -101,7 +101,7 @@ func TestLinearizabilityAllQueues(t *testing.T) {
 // exactly capacity values.
 func runRecordedBoundedScenario(t *testing.T, nthreads, opsPerThread, capacity int, seed uint64) {
 	t.Helper()
-	q, err := newSCQ("wf-scq-small", nthreads, capacity, true)
+	q, err := boundedQueue(capacity)(cfg{"wf-scq-small", nthreads, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +272,8 @@ func TestLinearizabilityRemappedSegments(t *testing.T) {
 		name := fmt.Sprintf("wf-%d-shift4", patience)
 		t.Run(name, func(t *testing.T) {
 			build := func(n int) qiface.Queue {
-				q, err := newWF(name, n, patience, true,
-					core.WithSegmentShift(4), core.WithMaxGarbage(1))
+				q, err := coreQueue(core.WithPatience(patience),
+					core.WithSegmentShift(4), core.WithMaxGarbage(1))(cfg{name, n, true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -354,10 +354,31 @@ func TestRegisterLimitPropagates(t *testing.T) {
 	}
 }
 
+// TestNewCheckedCoversRegistry: every registered name builds through
+// NewChecked, and the checked queue answers to the same name.
+func TestNewCheckedCoversRegistry(t *testing.T) {
+	for _, name := range qiface.Names() {
+		q, err := NewChecked(name, 1)
+		if err != nil {
+			t.Errorf("%s: NewChecked: %v", name, err)
+			continue
+		}
+		if q.Name() != name {
+			t.Errorf("NewChecked(%q).Name() = %q", name, q.Name())
+		}
+	}
+}
+
 // Checked adapters must be value-exact even with huge outstanding counts
 // (far beyond the arena size), which the arena adapters do not promise.
+// Every real, unbounded queue of the table is checked; chan blocks and
+// wf-scq rejects at capacity, so neither can hold that many values.
 func TestNewCheckedValueFidelity(t *testing.T) {
-	for _, name := range []string{"wf-10", "msqueue", "ccqueue", "kpqueue", "of", "lcrq"} {
+	for _, e := range entries {
+		name := e.Name
+		if !IsRealQueue(name) || e.Bounded || name == "chan" {
+			continue
+		}
 		q, err := NewChecked(name, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
