@@ -165,7 +165,8 @@ func TestBoundedLinearizability(t *testing.T) {
 // TestRunStall) on the façade: two producers make 200k TryEnqueue attempts
 // each while the consumer is parked between operations. Accepts stop at
 // Capacity(), the drain recovers exactly what was accepted, and the live
-// heap grows by at most 128 KiB, the bound TestRunStall holds wf-scq to.
+// heap grows by at most 128 KiB, where an unbounded queue's grows with
+// every value (TestRunStall on wf-10).
 func TestBoundedStall(t *testing.T) {
 	const producers, warmPairs, attempts = 2, 2048, 200_000
 	q, err := wfqueue.NewBounded[uint64](producers+1, 1024)

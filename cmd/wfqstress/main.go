@@ -10,12 +10,10 @@
 //	         checker in internal/lincheck.
 //	stall    the workload.StalledConsumer adversary: repeated cycles in
 //	         which producers push tagged sequence numbers while the single
-//	         consumer is parked, then the consumer resumes and drains.
-//	         Producers advance their sequence only on acceptance (bounded
-//	         queues reject with backpressure; unbounded queues buffer the
-//	         whole phase), so after every drain the tool can verify that
-//	         exactly the accepted values came back — no loss, no
-//	         duplication — and that each producer's values stayed
+//	         consumer is parked, then the consumer resumes and drains. The
+//	         queue buffers the whole phase, so after every drain the tool
+//	         can verify that exactly the enqueued values came back — no
+//	         loss, no duplication — and that each producer's values stayed
 //	         contiguous and in order across the stall.
 //
 // Usage:
@@ -35,8 +33,8 @@
 // duplication, not just duplication, and the per-producer FIFO check
 // audits that coalesced runs never reorder within a producer. Stress mode
 // only: lincheck needs window 1 (run it directly with -queue
-// wf-coalesce-w1), and stall-mode accounting assumes TryEnqueue
-// visibility, which buffering defers.
+// wf-coalesce-w1), and stall-mode accounting assumes an enqueue is
+// visible once it returns, which buffering defers.
 //
 // -churn makes every stress worker periodically Release its handle and
 // Register a fresh one mid-run (every churnEvery values), soaking the
@@ -352,13 +350,12 @@ func runStress(name string, threads int, d time.Duration, batch int, checkOrder,
 	fmt.Println("OK")
 }
 
-// stallAttempts is how many TryEnqueue attempts each producer makes per
-// stall phase. Bounded queues reject most of them once full; unbounded
-// queues buffer them all, so the value also caps the adversary's footprint.
-const stallAttempts = 20000
+// stallOps is how many values each producer enqueues per stall phase. The
+// queue buffers them all, so the value also caps the adversary's footprint.
+const stallOps = 20000
 
 // runStall repeatedly parks the consumer while producers push, then drains
-// and audits: every cycle must recover exactly the values accepted during
+// and audits: every cycle must recover exactly the values enqueued during
 // the stall, in per-producer order.
 func runStall(name string, threads int, d time.Duration) {
 	producers := threads - 1
@@ -370,11 +367,7 @@ func runStall(name string, threads int, d time.Duration) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	capNote := "unbounded"
-	if cp, ok := q.(qiface.CapacityProvider); ok {
-		capNote = fmt.Sprintf("capacity %d", cp.Capacity())
-	}
-	fmt.Printf("stall: %s (%s), %d producers, 1 parked consumer, %v\n", name, capNote, producers, d)
+	fmt.Printf("stall: %s, %d producers, 1 parked consumer, %v\n", name, producers, d)
 
 	consumer, err := q.Register()
 	if err != nil {
@@ -386,44 +379,32 @@ func runStall(name string, threads int, d time.Duration) {
 		if err != nil {
 			fatalf("register: %v", err)
 		}
-		prodOps[p] = qiface.WithTryFallback(ops)
+		prodOps[p] = ops
 	}
 
-	seq := make([]int64, producers)      // last accepted sequence per producer
 	lastSeen := make([]int64, producers) // last drained sequence per producer
-	var acceptedTotal, rejectedTotal, drainedTotal int64
+	var drainedTotal int64
 	cycles := 0
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
+		// Stall phase: the consumer is parked; each producer enqueues the
+		// next stallOps values of its sequence.
+		base := uint64(cycles) * stallOps
 		cycles++
-		// Stall phase: the consumer is parked; producers advance their
-		// sequence only when the queue accepts, so the accepted set is a
-		// contiguous per-producer prefix by construction.
-		var accepted, rejected atomic.Int64
 		var wg sync.WaitGroup
 		for p := range prodOps {
 			wg.Add(1)
 			go func(p int, ops qiface.Ops) {
 				defer wg.Done()
-				var acc, rej int64
-				for i := 0; i < stallAttempts; i++ {
-					if ops.TryEnqueue(uint64(p)<<32 | uint64(seq[p]+acc+1)) {
-						acc++
-					} else {
-						rej++
-					}
+				for i := uint64(1); i <= stallOps; i++ {
+					ops.Enqueue(uint64(p)<<32 | (base + i))
 				}
-				atomic.AddInt64(&seq[p], acc)
-				accepted.Add(acc)
-				rejected.Add(rej)
 			}(p, prodOps[p])
 		}
 		wg.Wait()
-		acceptedTotal += accepted.Load()
-		rejectedTotal += rejected.Load()
 
 		// Drain phase: producers have joined, so the first EMPTY is
-		// definitive. Every accepted value must come back exactly once.
+		// definitive. Every enqueued value must come back exactly once.
 		for {
 			v, ok := consumer.Dequeue()
 			if !ok {
@@ -441,9 +422,9 @@ func runStall(name string, threads int, d time.Duration) {
 			lastSeen[p] = s
 			drainedTotal++
 		}
-		if drainedTotal != acceptedTotal {
-			fatalf("cycle %d: accepted %d values so far but drained %d (loss or duplication)",
-				cycles, acceptedTotal, drainedTotal)
+		if enqueued := int64(cycles * stallOps * producers); drainedTotal != enqueued {
+			fatalf("cycle %d: enqueued %d values so far but drained %d (loss or duplication)",
+				cycles, enqueued, drainedTotal)
 		}
 	}
 
@@ -455,8 +436,7 @@ func runStall(name string, threads int, d time.Duration) {
 	if consumer.Release != nil {
 		consumer.Release()
 	}
-	fmt.Printf("%d cycles: accepted %d, rejected %d (backpressure), drained %d; per-producer order held across every stall\n",
-		cycles, acceptedTotal, rejectedTotal, drainedTotal)
+	fmt.Printf("%d cycles: drained %d; per-producer order held across every stall\n", cycles, drainedTotal)
 	fmt.Println("OK")
 }
 

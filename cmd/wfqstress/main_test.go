@@ -135,22 +135,19 @@ func TestStressCoalesce(t *testing.T) {
 }
 
 func TestRejectsCoalesceMisuse(t *testing.T) {
-	if out, err := runCLI(t, "-queue", "msqueue", "-coalesce", "-duration", "100ms"); err == nil {
-		t.Fatalf("msqueue has no coalescing variant, should fail:\n%s", out)
-	}
 	if out, err := runCLI(t, "-mode", "lincheck", "-coalesce", "-duration", "100ms"); err == nil {
 		t.Fatalf("-coalesce outside stress mode should fail:\n%s", out)
 	}
 }
 
-// The bounded ring has no coalescing variant: -coalesce on wf-scq is an
-// error naming the one queue that has one, not a silent fallthrough.
+// A queue with no coalescing twin: -coalesce on msqueue is an error naming
+// the one queue that has one, not a silent fallthrough.
 func TestRejectsCoalesceBounded(t *testing.T) {
-	out, err := runCLI(t, "-queue", "wf-scq", "-coalesce", "-duration", "100ms")
+	out, err := runCLI(t, "-queue", "msqueue", "-coalesce", "-duration", "100ms")
 	if err == nil {
-		t.Fatalf("wf-scq has no coalescing variant, should fail:\n%s", out)
+		t.Fatalf("msqueue has no coalescing variant, should fail:\n%s", out)
 	}
-	if want := "wf-scq has no operation-coalescing variant (have: wf-10)"; !strings.Contains(out, want) {
+	if want := "msqueue has no operation-coalescing variant (have: wf-10)"; !strings.Contains(out, want) {
 		t.Errorf("output missing %q:\n%s", want, out)
 	}
 }
@@ -164,33 +161,15 @@ func TestRejectsBadBatch(t *testing.T) {
 	}
 }
 
-// Stall mode on a bounded queue: producers must hit backpressure, and every
-// cycle's drain must recover exactly the accepted values in order.
-func TestStallModeBounded(t *testing.T) {
-	out, err := runCLI(t, "-queue", "wf-scq", "-threads", "3", "-mode", "stall", "-duration", "300ms")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"capacity", "rejected", "order held across every stall", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bounded stall output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "rejected 0 (backpressure)") {
-		t.Errorf("bounded stall saw no backpressure:\n%s", out)
-	}
-}
-
-// Stall mode on an unbounded queue: the fallback TryEnqueue accepts every
-// value, so the stall buffers whole phases and the drain still balances.
+// Stall mode: the queue buffers whole phases and every drain balances.
 func TestStallModeUnbounded(t *testing.T) {
 	out, err := runCLI(t, "-queue", "wf-10", "-threads", "3", "-mode", "stall", "-duration", "300ms")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range []string{"unbounded", "rejected 0 (backpressure)", "OK"} {
+	for _, want := range []string{"order held across every stall", "OK"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("unbounded stall output missing %q:\n%s", want, out)
+			t.Errorf("stall output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -1,10 +1,15 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
+	"go/build"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -346,5 +351,58 @@ func TestRepoPaddingRegression(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("removing Handle's leading pad produced no padding diagnostic; got %v", res.Diags)
+	}
+}
+
+// TestRepoSCQImporters keeps the SCQ ring deletable as one directory: no
+// package of this module other than internal/scq may import it, whether
+// from its sources, its in-package tests or its external tests. The
+// wfqperf benchmark is a module of its own and is not walked.
+func TestRepoSCQImporters(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawRing := false
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		pkg, err := build.ImportDir(dir, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		if path.Join("wfqueue", filepath.ToSlash(rel)) == PkgSCQ {
+			sawRing = true
+			return nil
+		}
+		for _, imports := range [][]string{pkg.Imports, pkg.TestImports, pkg.XTestImports} {
+			if slices.Contains(imports, PkgSCQ) {
+				t.Errorf("%s imports %s; only internal/scq itself may", rel, PkgSCQ)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sawRing {
+		t.Errorf("walked %s without reaching %s", root, PkgSCQ)
 	}
 }

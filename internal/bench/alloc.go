@@ -1,7 +1,7 @@
 // Steady-state allocation measurements behind the exact-zero allocation
-// gates in bench_test.go (TestSteadyStateAllocsZero and its SCQ,
-// coalescing, sharded and handle-churn siblings), which fail when a queue
-// hot path allocates at steady state.
+// gates in bench_test.go (the coalescing, sharded and handle-churn gates),
+// which fail when a queue hot path allocates at steady state. The core's
+// own gate is internal/core's TestSteadyStateZeroAllocs.
 package bench
 
 import (
@@ -11,16 +11,13 @@ import (
 	"unsafe"
 
 	"wfqueue/internal/core"
-	"wfqueue/internal/scq"
 	"wfqueue/internal/sharded"
 )
 
-// SteadyStateResult reports what one SteadyStateAllocs run observed.
+// SteadyStateResult reports what one steady-state measurement observed.
 type SteadyStateResult struct {
 	Ops         int     // measured enqueue+dequeue pairs
 	AllocsPerOp float64 // heap allocations per pair (expected: 0)
-	BytesPerOp  float64 // heap bytes per pair (expected: 0)
-	Recycled    uint64  // segments the queue reclaimed during measurement
 	// Stacks holds one symbolized stack per allocation site counted in
 	// AllocsPerOp (queueAllocs).
 	Stacks []string
@@ -32,7 +29,7 @@ func (r SteadyStateResult) AllocSites() string { return strings.Join(r.Stacks, "
 
 // queuePackages are the packages whose frames make an allocation the
 // queue's own in queueAllocs.
-var queuePackages = []string{"wfqueue/internal/core.", "wfqueue/internal/sharded.", "wfqueue/internal/scq."}
+var queuePackages = []string{"wfqueue/internal/core.", "wfqueue/internal/sharded."}
 
 // queueAllocs runs fn with every allocation sampled (runtime.MemProfileRate
 // 1) and returns the objects and bytes fn's window allocated under a frame
@@ -118,109 +115,11 @@ func formatStack(stk [32]uintptr) string {
 	}
 }
 
-// SteadyStateAllocs measures the heap allocations of the core queue's
-// enqueue/dequeue hot path at steady state, with segments small enough
-// (shift 6, maxGarbage 1) that the measured window crosses many segment
-// boundaries — so the number proves segment recycling, not just
-// in-segment cell reuse. The queue is warmed through one full
-// reclamation cycle first, then ops enqueue/dequeue pairs run on a single
-// goroutine, counting the allocations made under a queue frame
-// (queueAllocs). The allocation behavior of the data structure is
-// thread-count independent: the same code paths run, only their
-// interleaving changes.
-func SteadyStateAllocs(ops int) SteadyStateResult {
-	if ops < 1 {
-		ops = 1
-	}
-	q := core.New(1,
-		core.WithSegmentShift(6),
-		core.WithMaxGarbage(1))
-	h, err := q.Register()
-	if err != nil {
-		panic(err) // cannot happen: fresh queue, first handle
-	}
-	v := new(uint64)
-	p := unsafe.Pointer(v)
-
-	// Warm up past the first reclamation so the spare segment slots and
-	// the handle cache are populated: four segments' worth of pairs.
-	warm := 4 << 6
-	for i := 0; i < warm; i++ {
-		q.Enqueue(h, p)
-		q.Dequeue(h)
-	}
-
-	before := q.ReclaimedSegments()
-	objs, bytes, stacks := queueAllocs(func() {
-		for i := 0; i < ops; i++ {
-			q.Enqueue(h, p)
-			q.Dequeue(h)
-		}
-	})
-
-	return SteadyStateResult{
-		Ops:         ops,
-		AllocsPerOp: float64(objs) / float64(ops),
-		BytesPerOp:  float64(bytes) / float64(ops),
-		Recycled:    q.ReclaimedSegments() - before,
-		Stacks:      stacks,
-	}
-}
-
-// SCQSteadyStateAllocs measures the heap allocations of the SCQ ring's
-// TryEnqueue/Dequeue hot path on a warm ring. The capacity is small enough
-// (MinCapacity rounded up to 64) that the measured window wraps the ring
-// hundreds of times, so the number proves the whole cycle — free-ring
-// dequeue, slot publish, allocated-ring ticket, slot recycle — allocates
-// nothing, not just that the first lap does. Expected: exactly 0 (the queue
-// allocates only in New).
-func SCQSteadyStateAllocs(ops int) SteadyStateResult {
-	if ops < 1 {
-		ops = 1
-	}
-	const capacity = 64
-	q, err := scq.New(1, capacity)
-	if err != nil {
-		panic(err) // cannot happen: fixed valid parameters
-	}
-	h, err := q.Register()
-	if err != nil {
-		panic(err) // cannot happen: fresh queue, first handle
-	}
-	v := new(uint64)
-	p := unsafe.Pointer(v)
-
-	// Warm past several full ring wraps so every slot's cycle bits have
-	// advanced off their initial values.
-	for i := 0; i < 4*capacity; i++ {
-		if err := h.TryEnqueue(p); err != nil {
-			panic(err) // cannot happen: lone producer never fills 64 slots
-		}
-		h.Dequeue()
-	}
-
-	objs, bytes, stacks := queueAllocs(func() {
-		for i := 0; i < ops; i++ {
-			if err := h.TryEnqueue(p); err != nil {
-				panic(err)
-			}
-			h.Dequeue()
-		}
-	})
-
-	return SteadyStateResult{
-		Ops:         ops,
-		AllocsPerOp: float64(objs) / float64(ops),
-		BytesPerOp:  float64(bytes) / float64(ops),
-		Recycled:    uint64(ops / capacity), // full ring wraps the window crossed
-		Stacks:      stacks,
-	}
-}
-
 // CoalesceSteadyStateAllocs measures the heap allocations of the core
 // queue's coalesced hot path (CoalescedEnqueue/CoalescedDequeue at the
-// given window) at steady state, with the same small-segment recycling
-// setup as SteadyStateAllocs. It counts only allocations made under a
+// given window) at steady state, with segments small enough (shift 6,
+// maxGarbage 1) that the measured window crosses many segment boundaries,
+// after a warm-up through the first reclamation cycle. It counts only allocations made under a
 // queue frame (queueAllocs). The coalescing buffers are fixed arrays
 // inside the handle, so the expectation is exactly 0 at every window —
 // window 1 exercises the passthrough, larger windows the flush/refill
@@ -258,19 +157,16 @@ func CoalesceSteadyStateAllocs(ops, window int) SteadyStateResult {
 	// Warm past the first reclamation cycle.
 	run((4 << 6) / window)
 
-	before := q.ReclaimedSegments()
 	rounds := ops / window
 	if rounds < 1 {
 		rounds = 1
 	}
-	objs, bytes, stacks := queueAllocs(func() { run(rounds) })
+	objs, _, stacks := queueAllocs(func() { run(rounds) })
 
 	measured := rounds * window
 	return SteadyStateResult{
 		Ops:         measured,
 		AllocsPerOp: float64(objs) / float64(measured),
-		BytesPerOp:  float64(bytes) / float64(measured),
-		Recycled:    q.ReclaimedSegments() - before,
 		Stacks:      stacks,
 	}
 }
@@ -326,11 +222,10 @@ func ShardedSteadyStateAllocs(ops int) SteadyStateResult {
 	// pools settle only after that. Then the measured pass, attributed to
 	// queue frames (queueAllocs).
 	run(ops)
-	objs, bytes, stacks := queueAllocs(func() { run(ops) })
+	objs, _, stacks := queueAllocs(func() { run(ops) })
 	return SteadyStateResult{
 		Ops:         ops,
 		AllocsPerOp: float64(objs) / float64(ops),
-		BytesPerOp:  float64(bytes) / float64(ops),
 		Stacks:      stacks,
 	}
 }

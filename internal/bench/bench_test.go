@@ -253,97 +253,35 @@ func TestChurnAllocsZero(t *testing.T) {
 	}
 }
 
-func TestSCQSteadyStateAllocsZero(t *testing.T) {
-	r := SCQSteadyStateAllocs(200000)
-	if r.AllocsPerOp != 0 {
-		t.Errorf("scq steady-state allocs/op = %v, want exactly 0", r.AllocsPerOp)
-	}
-	if r.BytesPerOp != 0 {
-		t.Errorf("scq steady-state bytes/op = %v, want exactly 0", r.BytesPerOp)
-	}
-	if r.Recycled == 0 {
-		t.Error("measurement window wrapped the ring zero times; it proves nothing about slot recycling")
-	}
-}
-
-// TestRunStall drives the stalled-consumer adversary over one bounded and
-// one unbounded queue: the bounded queue must push back and retain a flat,
-// capacity-bounded heap; the unbounded queue must accept everything and
-// show the linear growth the adversary is designed to expose.
+// TestRunStall drives the stalled-consumer adversary over wf-10: the
+// queue must give every value back on the drain and show the linear heap
+// growth the adversary is designed to expose.
 func TestRunStall(t *testing.T) {
-	bcfg := DefaultStallConfig("wf-scq")
-	bcfg.StallOps = 20000
-	bcfg.WarmOps = 256
-	bres, err := RunStall(bcfg)
+	cfg := DefaultStallConfig("wf-10")
+	cfg.StallOps = 20000
+	cfg.WarmOps = 256
+	res, err := RunStall(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bres.Bounded || bres.Capacity == 0 {
-		t.Fatalf("wf-scq lost its bounded declaration: %+v", bres)
+	if want := uint64(cfg.Producers * cfg.StallOps); res.Drained != want {
+		t.Errorf("stall drained %d values, want %d", res.Drained, want)
 	}
-	if bres.Rejected == 0 {
-		t.Error("bounded queue never rejected during the stall")
-	}
-	if bres.Accepted > uint64(bres.Capacity) {
-		t.Errorf("accepted %d values into capacity %d", bres.Accepted, bres.Capacity)
-	}
-	if bres.Drained != bres.Accepted {
-		t.Errorf("drain mismatch: accepted %d drained %d", bres.Accepted, bres.Drained)
-	}
-
-	ucfg := DefaultStallConfig("wf-10")
-	ucfg.StallOps = 20000
-	ucfg.WarmOps = 256
-	ures, err := RunStall(ucfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ures.Rejected != 0 {
-		t.Errorf("unbounded fallback TryEnqueue rejected %d values", ures.Rejected)
-	}
-	want := uint64(ucfg.Producers * ucfg.StallOps)
-	if ures.Accepted != want {
-		t.Errorf("unbounded stall accepted %d, want %d", ures.Accepted, want)
-	}
-
-	if !raceEnabled {
-		// The bounded queue preallocates everything at New, so live-heap
-		// growth across the stall is GC jitter only; the unbounded queue
-		// buffers 40000 in-flight values in freshly allocated segments.
-		if bres.RetainedBytes > 128<<10 {
-			t.Errorf("bounded stall retained %d bytes, want ~0", bres.RetainedBytes)
-		}
-		if ures.RetainedBytes < 256<<10 {
-			t.Errorf("unbounded stall retained only %d bytes for %d in-flight values",
-				ures.RetainedBytes, ures.Accepted)
-		}
+	// The queue buffers 40000 in-flight values in freshly allocated
+	// segments.
+	if !raceEnabled && res.RetainedBytes < 256<<10 {
+		t.Errorf("stall retained only %d bytes for %d in-flight values", res.RetainedBytes, res.Drained)
 	}
 
 	// The phase-asymmetric kind must not silently no-op through Run.
 	if _, err := Run(smallConfig("wf-10", workload.StalledConsumer, 2)); err == nil {
 		t.Error("Run accepted the StalledConsumer workload")
 	}
-	if _, err := RunStall(StallConfig{Queue: "wf-scq"}); err == nil {
+	if _, err := RunStall(StallConfig{Queue: "wf-10"}); err == nil {
 		t.Error("RunStall accepted a zero config")
 	}
 	if _, err := RunStall(DefaultStallConfig("no-such-queue")); err == nil {
 		t.Error("RunStall accepted an unknown queue")
-	}
-}
-
-func TestSteadyStateAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
-	}
-	r := SteadyStateAllocs(200000)
-	if r.AllocsPerOp != 0 {
-		t.Errorf("core steady-state allocs/op = %v, want exactly 0", r.AllocsPerOp)
-	}
-	if r.BytesPerOp != 0 {
-		t.Errorf("core steady-state bytes/op = %v, want exactly 0", r.BytesPerOp)
-	}
-	if r.Recycled == 0 {
-		t.Error("measurement window recycled no segments; it proves nothing about the segment path")
 	}
 }
 

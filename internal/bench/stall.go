@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"wfqueue/internal/qiface"
 )
@@ -15,11 +14,9 @@ import (
 type StallConfig struct {
 	Queue     string // registry name
 	Producers int
-	// StallOps is the number of TryEnqueue attempts each producer makes
-	// while the consumer is parked. Unbounded queues accept all of them
-	// (their fallback TryEnqueue cannot reject), so retention grows
-	// linearly in StallOps; bounded queues reject everything past their
-	// capacity, so retention is flat in StallOps.
+	// StallOps is the number of values each producer enqueues while the
+	// consumer is parked. The queue buffers all of them, so retention
+	// grows linearly in StallOps.
 	StallOps int
 	// WarmOps is the number of enqueue–dequeue pairs per producer run
 	// before the baseline snapshot, so lazily-grown structures (segments,
@@ -29,27 +26,22 @@ type StallConfig struct {
 	Seed    uint64
 }
 
-// DefaultStallConfig returns the default stall parameters: enough attempts
-// that an unbounded queue's linear growth dwarfs any bounded queue's fixed
-// retention by orders of magnitude.
+// DefaultStallConfig returns the default stall parameters: enough values
+// that an unbounded queue's linear growth dwarfs the harness's own heap
+// jitter by orders of magnitude.
 func DefaultStallConfig(queue string) StallConfig {
 	return StallConfig{Queue: queue, Producers: 2, StallOps: 200_000, WarmOps: 2_048, Seed: 0x5EED}
 }
 
 // StallResult is the outcome of one RunStall.
 type StallResult struct {
-	Config   StallConfig
-	Bounded  bool // the factory's declared Bounded flag
-	Capacity int  // CapacityProvider value, 0 when not implemented
-
-	Accepted uint64 // values accepted during the stall
-	Rejected uint64 // TryEnqueue rejections (bounded backpressure)
-	Drained  uint64 // values recovered after the consumer resumed
+	Config  StallConfig
+	Drained uint64 // values recovered after the consumer resumed
 
 	// Live-heap retention: runtime.MemStats.HeapAlloc after a forced GC,
 	// before and at the peak of the stall. RetainedBytes is the growth —
 	// the memory the queue holds on behalf of the parked consumer, and the
-	// number TestRunStall bounds: GC-settled live heap is deterministic
+	// number TestRunStall checks: GC-settled live heap is deterministic
 	// where RSS depends on allocator behavior.
 	BaselineHeap  uint64
 	StalledHeap   uint64
@@ -60,11 +52,10 @@ type StallResult struct {
 //
 //  1. warmup — producers and consumer move WarmOps pairs each so every
 //     lazily-allocated structure exists; forced GC; baseline snapshot;
-//  2. stall — the consumer parks while every producer makes StallOps
-//     TryEnqueue attempts (the fallback TryEnqueue of unbounded queues
-//     always accepts); forced GC; peak snapshot;
+//  2. stall — the consumer parks while every producer enqueues StallOps
+//     values; forced GC; peak snapshot;
 //  3. drain — the consumer resumes and dequeues until EMPTY; the drained
-//     count must equal the accepted count, or the queue lost values across
+//     count must equal the enqueued count, or the queue lost values across
 //     the stall and RunStall errors.
 func RunStall(cfg StallConfig) (StallResult, error) {
 	if cfg.Producers < 1 {
@@ -77,14 +68,11 @@ func RunStall(cfg StallConfig) (StallResult, error) {
 	if err != nil {
 		return StallResult{}, err
 	}
-	res := StallResult{Config: cfg, Bounded: factory.Bounded}
+	res := StallResult{Config: cfg}
 
 	q, err := factory.New(cfg.Producers + 1)
 	if err != nil {
 		return StallResult{}, err
-	}
-	if cp, ok := q.(qiface.CapacityProvider); ok {
-		res.Capacity = cp.Capacity()
 	}
 	consumer, err := q.Register()
 	if err != nil {
@@ -96,11 +84,11 @@ func RunStall(cfg StallConfig) (StallResult, error) {
 		if err != nil {
 			return StallResult{}, err
 		}
-		producers[i] = qiface.WithTryFallback(ops)
+		producers[i] = ops
 	}
 
 	// Warmup: move pairs through every producer's handle, never letting
-	// occupancy exceed one value per producer — far below any capacity.
+	// occupancy exceed one value per producer.
 	for i := 0; i < cfg.WarmOps; i++ {
 		for p, ops := range producers {
 			ops.Enqueue(uint64(p)<<32 | uint64(i) + 1)
@@ -114,28 +102,18 @@ func RunStall(cfg StallConfig) (StallResult, error) {
 
 	res.BaselineHeap = settledHeap()
 
-	// Stall: the consumer parks; producers hammer TryEnqueue.
-	var accepted, rejected atomic.Uint64
+	// Stall: the consumer parks; producers keep enqueueing.
 	var wg sync.WaitGroup
 	for p, ops := range producers {
 		wg.Add(1)
 		go func(p int, ops qiface.Ops) {
 			defer wg.Done()
-			var acc, rej uint64
 			for i := 0; i < cfg.StallOps; i++ {
-				if ops.TryEnqueue(uint64(p)<<32 | uint64(i) + 1) {
-					acc++
-				} else {
-					rej++
-				}
+				ops.Enqueue(uint64(p)<<32 | uint64(i) + 1)
 			}
-			accepted.Add(acc)
-			rejected.Add(rej)
 		}(p, ops)
 	}
 	wg.Wait()
-	res.Accepted = accepted.Load()
-	res.Rejected = rejected.Load()
 
 	res.StalledHeap = settledHeap()
 	if res.StalledHeap > res.BaselineHeap {
@@ -150,8 +128,8 @@ func RunStall(cfg StallConfig) (StallResult, error) {
 		}
 		res.Drained++
 	}
-	if res.Drained != res.Accepted {
-		return StallResult{}, fmt.Errorf("bench: stall accepted %d values but drained %d", res.Accepted, res.Drained)
+	if enqueued := uint64(cfg.Producers * cfg.StallOps); res.Drained != enqueued {
+		return StallResult{}, fmt.Errorf("bench: stall enqueued %d values but drained %d", enqueued, res.Drained)
 	}
 
 	for _, ops := range producers {

@@ -11,17 +11,10 @@
 package qiface
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 )
-
-// ErrFull is the canonical backpressure error of bounded queues: a
-// TryEnqueue-shaped operation observed all capacity slots occupied at a
-// linearizable point. Adapters over implementations with their own full
-// sentinel translate to this one so harnesses match a single error.
-var ErrFull = errors.New("qiface: queue full")
 
 // Ops is a set of per-thread operation closures. Register returns one Ops
 // per worker thread; the closures are NOT safe for use from more than one
@@ -32,13 +25,6 @@ type Ops struct {
 	// Dequeue removes and returns the oldest value. ok is false when the
 	// queue observed an EMPTY linearization point.
 	Dequeue func() (v uint64, ok bool)
-
-	// TryEnqueue appends v if the queue has room and reports whether it
-	// did: false means the queue was full at a linearizable point — the
-	// backpressure signal of Bounded implementations. Nil on unbounded
-	// queues (their Enqueue never rejects); use WithTryFallback to
-	// guarantee presence.
-	TryEnqueue func(v uint64) bool
 
 	// EnqueueBatch appends all values of vs to the queue in order. It is
 	// semantically equivalent to calling Enqueue once per value;
@@ -119,22 +105,6 @@ func WithBatchFallback(ops Ops) Ops {
 	return ops
 }
 
-// WithTryFallback returns ops with a missing TryEnqueue synthesized from
-// Enqueue: the fallback always accepts, which is exactly the contract of an
-// unbounded queue. Harnesses that drive every implementation through the
-// backpressure surface use this so bounded and unbounded queues share one
-// code path.
-func WithTryFallback(ops Ops) Ops {
-	if ops.TryEnqueue == nil {
-		enq := ops.Enqueue
-		ops.TryEnqueue = func(v uint64) bool {
-			enq(v)
-			return true
-		}
-	}
-	return ops
-}
-
 // Queue is one live queue instance.
 type Queue interface {
 	// Name reports the implementation's registry name.
@@ -143,15 +113,6 @@ type Queue interface {
 	// closures. Implementations may limit the number of registrations to
 	// the maxThreads passed at construction; exceeding it returns an error.
 	Register() (Ops, error)
-}
-
-// CapacityProvider is implemented by bounded queue instances: Capacity
-// reports the fixed number of value slots, the bound TryEnqueue enforces.
-// Harnesses use it to size full-queue batteries and to derive the flat-RSS
-// bound of the stalled-consumer gate.
-type CapacityProvider interface {
-	// Capacity returns the maximum number of queued values.
-	Capacity() int
 }
 
 // StatsProvider is implemented by queues that expose execution-path counters
@@ -208,13 +169,6 @@ type Factory struct {
 	// Ordering is the implementation's FIFO guarantee (zero value:
 	// OrderFIFO, a single linearizable queue).
 	Ordering Ordering
-	// Bounded reports that instances hold a fixed capacity: every Ops has
-	// a non-nil TryEnqueue that rejects with false when the queue is full,
-	// instances implement CapacityProvider, and Enqueue provides
-	// backpressure by waiting for room instead of growing the heap.
-	// Harnesses gate full-queue batteries and stall adversaries on this
-	// flag.
-	Bounded bool
 	// New builds an instance sized for at most maxThreads registrations.
 	New func(maxThreads int) (Queue, error)
 }

@@ -23,7 +23,7 @@ type Ops struct {
 	Enq func(int64)
 	Deq func() (int64, bool)
 	// TryEnq enqueues if the queue has room and reports whether it did
-	// (mirroring qiface.Ops.TryEnqueue). Optional: nil on unbounded queues;
+	// (a bounded queue's TryEnqueue). Optional: nil on unbounded queues;
 	// the full-queue batteries require it.
 	TryEnq func(int64) bool
 	// EnqBatch enqueues all values in order.
@@ -474,9 +474,9 @@ func ChurnStorm(t *testing.T, mk Maker, capacity, churners, cycles int) {
 // FullQueue is the sequential backpressure battery for bounded queues: fill
 // through TryEnq until the first rejection, verify the rejection is sticky,
 // drain one value, verify a retry succeeds, then drain and repeat the cycle
-// so the ring's cycle-tag wrap is crossed. capacity is the queue's declared
-// capacity (qiface.CapacityProvider), and a single producer must fill
-// exactly that many slots before rejection.
+// so the queue refills from a drained state. capacity is the queue's
+// declared capacity, and a single producer must fill exactly that many
+// slots before rejection.
 //
 // Values go through one worker, so FIFO order of the accepted values is
 // checked unconditionally: even per-producer-ordered queues owe a single

@@ -92,80 +92,6 @@ func TestLinearizabilityAllQueues(t *testing.T) {
 	}
 }
 
-// runRecordedBoundedScenario drives a deliberately tiny wf-scq instance —
-// capacity 4, the construction minimum — with an enqueue-heavy mix of
-// TryEnqueue and Dequeue calls, so the ring is frequently full and ErrFull
-// verdicts appear in the history. CheckBounded then validates both
-// directions of the capacity contract: no interleaving may hold more than
-// capacity values, and every rejection must linearize in a state holding
-// exactly capacity values.
-func runRecordedBoundedScenario(t *testing.T, nthreads, opsPerThread, capacity int, seed uint64) {
-	t.Helper()
-	q, err := boundedQueue(capacity)(cfg{"wf-scq-small", nthreads, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, isCP := q.(qiface.CapacityProvider)
-	if !isCP {
-		t.Fatal("wf-scq adapter does not implement CapacityProvider")
-	}
-	col := lincheck.NewCollector(nthreads)
-	var start, done sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < nthreads; i++ {
-		ops, err := q.Register()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ops.TryEnqueue == nil {
-			t.Fatal("wf-scq Ops has no TryEnqueue")
-		}
-		log := col.Thread(i)
-		rng := workload.NewRNG(seed + uint64(i)*977)
-		done.Add(1)
-		go func(i int, ops qiface.Ops) {
-			defer done.Done()
-			start.Wait()
-			for k := 0; k < opsPerThread; k++ {
-				// 3:1 enqueue bias keeps the tiny ring near full.
-				if rng.Next()%4 != 0 {
-					v := uint64(i)<<32 | uint64(k) + 1
-					log.TryEnq(v, func() bool { return ops.TryEnqueue(v) })
-				} else {
-					log.Deq(ops.Dequeue)
-				}
-			}
-		}(i, ops)
-	}
-	start.Done()
-	done.Wait()
-
-	h := col.History()
-	ok, err := lincheck.CheckBounded(h, cp.Capacity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("wf-scq cap %d: non-linearizable bounded history:\n%v", cp.Capacity(), h)
-	}
-}
-
-// TestBoundedLinearizabilitySCQ is the bounded-queue counterpart of
-// TestLinearizabilityAllQueues, run against wf-scq at the smallest
-// constructible capacity so full states are actually exercised.
-func TestBoundedLinearizabilitySCQ(t *testing.T) {
-	trials := 60
-	if testing.Short() {
-		trials = 10
-	}
-	for trial := 0; trial < trials; trial++ {
-		runRecordedBoundedScenario(t, 3, 6, 4, uint64(trial)*131+7)
-	}
-	for trial := 0; trial < trials/4; trial++ {
-		runRecordedBoundedScenario(t, 6, 3, 4, uint64(trial)*733+1)
-	}
-}
-
 // runRecordedBatchScenario is runRecordedScenario over the batched surface:
 // every operation is an EnqueueBatch or DequeueBatch of 1..maxBatch values.
 // Each batch value is recorded as an individual op sharing the whole call's

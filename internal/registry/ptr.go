@@ -15,9 +15,10 @@ type arena struct {
 	next  int
 }
 
-// slot writes v into the next free slot without claiming it.
-func (a *arena) slot(v uint64) unsafe.Pointer {
+// put writes v into the next slot and claims it.
+func (a *arena) put(v uint64) unsafe.Pointer {
 	p := &a.slots[a.next&(arenaSize-1)]
+	a.next++
 	*p = v
 	return unsafe.Pointer(p)
 }
@@ -38,12 +39,7 @@ func valPut(boxed bool) func(uint64) unsafe.Pointer {
 	if boxed {
 		return boxVal
 	}
-	ar := &arena{}
-	return func(v uint64) unsafe.Pointer {
-		p := ar.slot(v)
-		ar.next++
-		return p
-	}
+	return (&arena{}).put
 }
 
 // unptr reads a dequeued pointer back into the uint64 currency, passing an

@@ -11,20 +11,19 @@
 // the slot's address, so no operation allocates. The arena has 2^16 slots
 // per thread; a thread with more than 2^16 values outstanding reuses slots,
 // which changes the values read back (never memory safety). Workloads here
-// do go that far: bench.RunStall's DefaultStallConfig makes 200,000
-// TryEnqueue attempts per producer while the consumer is parked, an
-// unbounded queue accepts every one, and each producer's arena wraps three
-// times. That run stays valid only because RunStall reads back counts, not
-// values. Whatever checks the values it reads back builds its queue through
-// NewChecked, whose heap boxes stay exact. A slot is claimed only by a value
-// the queue accepted: a TryEnqueue rejected as full hands its slot to the
-// next attempt.
+// do go that far: bench.RunStall's DefaultStallConfig enqueues 200,000
+// values per producer while the consumer is parked, and each producer's
+// arena wraps three times. That run stays valid only because RunStall reads
+// back counts, not values. Whatever checks the values it reads back builds
+// its queue through NewChecked, whose heap boxes stay exact.
+//
+// Every queue here is unbounded except chan, whose Enqueue panics rather
+// than block at its fixed capacity. The bounded contract is the public
+// wfqueue.NewBounded's, checked in the root package.
 package registry
 
 import (
 	"fmt"
-	"runtime"
-	"unsafe"
 
 	"wfqueue/internal/ccqueue"
 	"wfqueue/internal/chanq"
@@ -35,7 +34,6 @@ import (
 	"wfqueue/internal/msqueue"
 	"wfqueue/internal/ofqueue"
 	"wfqueue/internal/qiface"
-	"wfqueue/internal/scq"
 	"wfqueue/internal/sharded"
 	"wfqueue/internal/simqueue"
 )
@@ -87,13 +85,6 @@ var entries = []entry{
 		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderPerProducer}, shardedQueue()},
 	{qiface.Factory{Name: "wf-sharded-1", Doc: "sharded queue, single lane (strict FIFO degenerate configuration)",
 		WaitFree: true, ChurnSafe: true, Ordering: qiface.OrderFIFO}, shardedQueue(sharded.WithLanes(1))},
-	// WaitFree is deliberately false: the SCQ enqueue side is lock-free
-	// with threshold-based livelock freedom, and the dequeue side's helping
-	// bound holds under the operational model of DESIGN.md §7, not
-	// unconditionally (full wCQ needs double-width CAS).
-	{qiface.Factory{Name: "wf-scq", Doc: "bounded SCQ ring, cap 16384 (FAA tickets, ErrFull backpressure, helped dequeues)",
-		ChurnSafe: true, Ordering: qiface.OrderFIFO, Bounded: true},
-		boundedQueue(scqDefaultCapacity)},
 	{qiface.Factory{Name: "of", Doc: "obstruction-free Listing 1 queue (ablation)"},
 		func(c cfg) (qiface.Queue, error) { return newPtr(c, ofqueue.New(0)), nil }},
 	{qiface.Factory{Name: "lcrq", Doc: "Morrison & Afek's LCRQ, hazard-pointer reclamation", MaxValue: lcrq.MaxValue},
@@ -225,75 +216,6 @@ func simQueue(c cfg, q *simqueue.Queue) *u64Queue {
 		h, err := q.Register()
 		return func(v uint64) { q.Enqueue(h, v) }, func() (uint64, bool) { return q.Dequeue(h) }, err
 	}}
-}
-
-// scqDefaultCapacity is the value-slot count of the registered wf-scq
-// variant. Large enough that the conformance batteries' single-threaded
-// fills (thousands of values with no consumer running) never wedge on a full
-// ring, small enough that the ring plus value array stays a few hundred KiB
-// — the bounded-memory point of the implementation. Full-queue semantics are
-// exercised at small capacities by the dedicated battery, which constructs
-// its own instances through scq.New.
-const scqDefaultCapacity = 1 << 14
-
-// scqQueue drives the bounded SCQ queue through the qiface surface,
-// including the capacity contract: TryEnqueue maps scq.ErrFull to false and
-// the blocking Enqueue provides backpressure by yielding until a consumer
-// frees a slot (the spin lives here, not in internal/scq, so the analyzed
-// queue package stays free of scheduling calls).
-type scqQueue struct {
-	cfg
-	q *scq.Queue
-}
-
-// boundedQueue builds the SCQ ring at the given capacity.
-func boundedQueue(capacity int) builder {
-	return func(c cfg) (qiface.Queue, error) {
-		q, err := scq.New(c.n, capacity)
-		if err != nil {
-			return nil, err
-		}
-		return &scqQueue{c, q}, nil
-	}
-}
-
-// Capacity implements qiface.CapacityProvider.
-func (a *scqQueue) Capacity() int { return a.q.Capacity() }
-
-// Stats implements qiface.StatsProvider (the scq counter keys).
-func (a *scqQueue) Stats() map[string]uint64 { return a.q.Stats() }
-
-func (a *scqQueue) Register() (qiface.Ops, error) {
-	h, err := a.q.Register()
-	if err != nil {
-		return qiface.Ops{}, err
-	}
-	// An arena slot is claimed only once the ring accepts its pointer: a
-	// rejected attempt leaves it to the next one, so ErrFull retries cannot
-	// wrap the arena over slots whose pointers are still queued.
-	slot, claim := boxVal, func() {}
-	if !a.boxed {
-		ar := &arena{}
-		slot, claim = ar.slot, func() { ar.next++ }
-	}
-	try := func(p unsafe.Pointer) bool {
-		if h.TryEnqueue(p) != nil {
-			return false
-		}
-		claim()
-		return true
-	}
-	return qiface.WithBatchFallback(qiface.Ops{
-		TryEnqueue: func(v uint64) bool { return try(slot(v)) },
-		Enqueue: func(v uint64) {
-			p := slot(v)
-			for !try(p) {
-				runtime.Gosched()
-			}
-		},
-		Dequeue: func() (uint64, bool) { return unptr(h.Dequeue()) },
-		Release: h.Release,
-	}), nil
 }
 
 type faaQueue struct {

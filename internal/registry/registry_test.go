@@ -7,7 +7,6 @@ import (
 	"wfqueue/internal/core"
 	"wfqueue/internal/qiface"
 	"wfqueue/internal/qtest"
-	"wfqueue/internal/scq"
 )
 
 // realQueues are all registered implementations with actual queue semantics
@@ -57,20 +56,15 @@ func makerFor(name string) qtest.Maker {
 				// Capacity denial is a legal outcome the churn harnesses
 				// provoke deliberately; per the Maker contract it maps to
 				// zero Ops. Anything else is a real failure.
-				if errors.Is(err, core.ErrTooManyHandles) || errors.Is(err, scq.ErrTooManyHandles) {
+				if errors.Is(err, core.ErrTooManyHandles) {
 					return qtest.Ops{}
 				}
 				t.Fatal(err)
-			}
-			var tryEnq func(int64) bool
-			if ops.TryEnqueue != nil {
-				tryEnq = func(v int64) bool { return ops.TryEnqueue(uint64(v)) }
 			}
 			return qtest.Ops{
 				Release: ops.Release,
 				Flush:   ops.Flush,
 				Enq:     func(v int64) { ops.Enqueue(uint64(v)) },
-				TryEnq:  tryEnq,
 				Deq: func() (int64, bool) {
 					v, ok := ops.Dequeue()
 					return int64(v), ok
@@ -135,10 +129,6 @@ func TestWaitFreeFlags(t *testing.T) {
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true,
 		"wf-coalesce-w64": true,
 		"lcrq":            false, "msqueue": false, "ccqueue": false, "of": false, "faa": false, "chan": false,
-		// Honest flag for the SCQ ring: its enqueue side is lock-free
-		// (threshold-based livelock freedom), and the dequeue-side helping
-		// bound holds under DESIGN.md §7's model, not unconditionally.
-		"wf-scq": false,
 	}
 	for name, want := range waitFree {
 		f := MustLookup(name)
@@ -159,8 +149,6 @@ func TestOrderingDeclarations(t *testing.T) {
 		"chan":         qiface.OrderFIFO,
 		"wf-sharded":   qiface.OrderPerProducer,
 		"wf-sharded-1": qiface.OrderFIFO,
-		// The single SCQ ring is one linearizable FIFO.
-		"wf-scq": qiface.OrderFIFO,
 		// Coalescing moves an enqueue's visibility point to the flush, so any
 		// window > 1 relaxes to per-producer order (each flush deposits the
 		// producer's run in order); window 1 never buffers and stays FIFO.
@@ -196,90 +184,6 @@ func TestStatsProvider(t *testing.T) {
 	}
 }
 
-// TestBoundedContract pins which implementations declare the capacity
-// contract and enforces what the flag promises: instances implement
-// qiface.CapacityProvider with a positive capacity, every Ops carries a
-// non-nil TryEnqueue, and the full-queue battery holds — fill to rejection,
-// sticky full verdict, drain-one/retry, cycle reuse, exact capacity-slot
-// accounting, and the concurrent TryEnqueue path.
-func TestBoundedContract(t *testing.T) {
-	bounded := map[string]bool{
-		"wf-scq": true,
-	}
-	for _, name := range qiface.Names() {
-		f := MustLookup(name)
-		if f.Bounded != bounded[name] {
-			t.Errorf("%s: Bounded = %v, want %v", name, f.Bounded, bounded[name])
-		}
-	}
-	for name := range bounded {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			f := MustLookup(name)
-			q, err := f.New(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp, ok := q.(qiface.CapacityProvider)
-			if !ok {
-				t.Fatalf("%s does not implement qiface.CapacityProvider", name)
-			}
-			capacity := cp.Capacity()
-			if capacity <= 0 {
-				t.Fatalf("Capacity() = %d, want > 0", capacity)
-			}
-			ops, err := q.Register()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ops.TryEnqueue == nil {
-				t.Fatal("bounded factory handed out Ops with nil TryEnqueue")
-			}
-			ops.Release()
-			qtest.BoundedBattery(t, makerFor(name), capacity)
-		})
-	}
-}
-
-// TestSCQArenaSurvivesRejections is the regression test for the arena
-// adapter's ErrFull path: a rejected TryEnqueue must not claim an arena
-// slot. Otherwise more than arenaSize rejections wrap the arena over the
-// slots whose pointers the full ring still holds, and the drain reads back
-// the rejected values (the "dequeued twice" failures of the concurrent
-// full-queue battery).
-func TestSCQArenaSurvivesRejections(t *testing.T) {
-	q, err := MustLookup("wf-scq").New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := q.(qiface.CapacityProvider).Capacity()
-	ops, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ops.Release()
-	for i := 0; i < capacity; i++ {
-		if !ops.TryEnqueue(uint64(i)) {
-			t.Fatalf("TryEnqueue %d rejected below Capacity() = %d", i, capacity)
-		}
-	}
-	rejected := arenaSize + capacity
-	for i := 0; i < rejected; i++ {
-		if ops.TryEnqueue(1<<40 | uint64(i)) {
-			t.Fatalf("TryEnqueue accepted a value into a full ring (attempt %d)", i)
-		}
-	}
-	for i := 0; i < capacity; i++ {
-		v, ok := ops.Dequeue()
-		if !ok || v != uint64(i) {
-			t.Fatalf("dequeue %d after %d rejections: got (%#x, %v), want %d", i, rejected, v, ok, i)
-		}
-	}
-	if v, ok := ops.Dequeue(); ok {
-		t.Fatalf("drained ring returned %#x", v)
-	}
-}
-
 // TestChurnSafeContract pins which implementations declare the
 // handle-churn contract, and enforces what the flag promises: a non-nil
 // Release on every Ops, idempotence of a double Release, and immediate
@@ -288,7 +192,6 @@ func TestChurnSafeContract(t *testing.T) {
 	churnSafe := map[string]bool{
 		"wf-10": true, "wf-0": true, "wf-10-tiny": true,
 		"wf-sharded": true, "wf-sharded-1": true,
-		"wf-scq":      true,
 		"wf-coalesce": true, "wf-coalesce-w1": true, "wf-coalesce-w4": true, "wf-coalesce-w64": true,
 		"of": false, "lcrq": false, "lcrq-gc": false, "msqueue": false, "msqueue-gc": false,
 		"ccqueue": false, "kpqueue": false, "faa": false, "simqueue": false, "chan": false,
@@ -371,12 +274,11 @@ func TestNewCheckedCoversRegistry(t *testing.T) {
 
 // Checked adapters must be value-exact even with huge outstanding counts
 // (far beyond the arena size), which the arena adapters do not promise.
-// Every real, unbounded queue of the table is checked; chan blocks and
-// wf-scq rejects at capacity, so neither can hold that many values.
+// Every real queue of the table is checked.
 func TestNewCheckedValueFidelity(t *testing.T) {
 	for _, e := range entries {
 		name := e.Name
-		if !IsRealQueue(name) || e.Bounded || name == "chan" {
+		if !IsRealQueue(name) {
 			continue
 		}
 		q, err := NewChecked(name, 2)

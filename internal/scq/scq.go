@@ -220,9 +220,9 @@ func (h *Handle) Release() {
 }
 
 // TryEnqueue publishes v, or returns ErrFull when all capacity slots hold
-// in-flight values. The full verdict is exact: SCQ's threshold argument
-// makes "the free ring was empty at some point during the call" a valid
-// linearization point, so a false ErrFull cannot happen.
+// in-flight values: the free ring was empty at some point during the call,
+// so the queued values plus the indices other operations held outside both
+// rings reached the capacity (DESIGN.md §7.2, "What FULL counts").
 func (h *Handle) TryEnqueue(v unsafe.Pointer) error {
 	q := h.q
 	idx, ok, _ := q.fq.dequeue(0) // unbudgeted: bounded by fq's threshold
