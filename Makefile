@@ -1,6 +1,7 @@
 # Convenience targets for the wfqueue reproduction repository.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # All generated output (CSV results, soak/stress logs) lands here; the
 # directory is untracked (see .gitignore).
@@ -32,11 +33,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# wfqlint: the static-analysis suite proving the lock-free invariants
-# (DESIGN.md §5) — atomic hygiene, no blocking on hot paths, bounded-loop
+# gofmt first: any file it would reformat fails the target. Then wfqlint:
+# the static-analysis suite proving the lock-free invariants (DESIGN.md
+# §5) — atomic hygiene, no blocking on hot paths, bounded-loop
 # obligations, 32-bit alignment, cache-line layout, and the escape gate
 # over the compiler's -m output. Exits nonzero on any finding.
 lint:
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/wfqlint all
 
 # wfqcert: refresh the committed step-bound certificate baseline after a

@@ -14,31 +14,12 @@ import (
 	"time"
 
 	"wfqueue"
+	"wfqueue/internal/qtest"
 )
 
-// mallocs returns the heap allocations (MemStats.Mallocs) made across runs
-// calls of f, measured as testing.AllocsPerRun does (GOMAXPROCS 1, one
-// warm-up call first) but reported for the whole window: AllocsPerRun
-// divides by runs and rounds down, so a window that allocates one segment
-// every few pairs reads 0 there. MemStats is process-wide, and now and then
-// another goroutine (the runtime, the test runner) allocates
-// inside a window; an allocation on f's own path lands in every window, so
-// the fewest over three windows is exact for it.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	least := ^uint64(0)
-	for w := 0; w < 3 && least != 0; w++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
-	}
-	return least
-}
+// facadeFrames are the frame prefixes qtest.QueueAllocs counts allocations
+// under: the façades' code and the core queue beneath it.
+var facadeFrames = []string{"wfqueue.", "wfqueue/internal/core."}
 
 func setFinalizer[T any](v *T, f func(*T)) { runtime.SetFinalizer(v, f) }
 
@@ -81,11 +62,11 @@ func TestFacadeZeroAllocPointer(t *testing.T) {
 	x := new(int)
 	_, h := warmAllocQueue(t, x)
 	defer h.Release()
-	if n := mallocs(10000, func() {
+	if a := qtest.QueueAllocs(10000, func() {
 		h.Enqueue(x)
 		h.Dequeue()
-	}); n != 0 {
-		t.Errorf("Queue[*int]: 10000 enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
+	}, facadeFrames...); a.Objects != 0 {
+		t.Errorf("Queue[*int]: 10000 enqueue+dequeue pairs after warm-up allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 }
 
@@ -95,11 +76,11 @@ func TestFacadeZeroAllocScalar(t *testing.T) {
 	}
 	_, h := warmAllocQueue(t, uint64(7))
 	defer h.Release()
-	if n := mallocs(10000, func() {
+	if a := qtest.QueueAllocs(10000, func() {
 		h.Enqueue(99)
 		h.Dequeue()
-	}); n != 0 {
-		t.Errorf("Queue[uint64]: 10000 enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
+	}, facadeFrames...); a.Objects != 0 {
+		t.Errorf("Queue[uint64]: 10000 enqueue+dequeue pairs after warm-up allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 }
 
@@ -116,11 +97,11 @@ func TestFacadeZeroAllocBatch(t *testing.T) {
 		h.EnqueueBatch(vs)
 		h.DequeueBatch(dst)
 	}
-	if n := mallocs(5000, func() {
+	if a := qtest.QueueAllocs(5000, func() {
 		h.EnqueueBatch(vs)
 		h.DequeueBatch(dst)
-	}); n != 0 {
-		t.Errorf("5000 batched enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
+	}, facadeFrames...); a.Objects != 0 {
+		t.Errorf("5000 batched enqueue+dequeue pairs after warm-up allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 }
 
@@ -188,9 +169,9 @@ func checkPipelineAllocs(t *testing.T, name string, burst func()) {
 	for i := 0; i < 64; i++ {
 		burst()
 	}
-	if n := mallocs(20, burst); n != 0 {
-		t.Errorf("%s: 20 warm producer→consumer bursts of %d values allocated %d objects, want 0",
-			name, pipelineBurst, n)
+	if a := qtest.QueueAllocs(20, burst, facadeFrames...); a.Objects != 0 {
+		t.Errorf("%s: 20 warm producer→consumer bursts of %d values allocated %d objects, want 0, at:\n%s",
+			name, pipelineBurst, a.Objects, a.Sites())
 	}
 }
 
@@ -333,7 +314,7 @@ func TestBoxZeroedOnRecycle(t *testing.T) {
 // registerAllocs is what one Register+Release costs on either façade: the
 // handle itself, its box free list (boxFreeListCap slots, sized once at
 // registration) and the finalizer record. The core lifecycle underneath
-// allocates nothing (internal/bench TestChurnAllocsZero).
+// allocates nothing (TestChurnAllocsZero in internal/core).
 const registerAllocs = 3
 
 // TestRegisterReleaseAllocs pins the façades' handle lifecycle at

@@ -3,7 +3,8 @@ package wfqueue_test
 // The bounded façade against its contract: a sequential model fuzzer (one
 // thread, nothing in flight, so ErrFull and EMPTY are exact), recorded
 // concurrent histories checked under the in-flight FULL rule, and the
-// stalled-consumer adversary with its flat-retention bound.
+// stalled-consumer adversary: flat retention on the bounded façade, against
+// the unbounded façade's growth with every value.
 
 import (
 	"errors"
@@ -161,36 +162,49 @@ func TestBoundedLinearizability(t *testing.T) {
 	}
 }
 
-// TestBoundedStall is the stalled-consumer adversary (internal/bench
-// TestRunStall) on the façade: two producers make 200k TryEnqueue attempts
-// each while the consumer is parked between operations. Accepts stop at
-// Capacity(), the drain recovers exactly what was accepted, and the live
-// heap grows by at most 128 KiB, where an unbounded queue's grows with
-// every value (TestRunStall on wf-10).
+// TestBoundedStall is the stalled-consumer adversary on each façade: two
+// producers make 200k enqueue attempts each (TryEnqueue on the bounded
+// façade) while the consumer is parked between operations, and the drain
+// must recover exactly what was accepted. The unbounded Queue accepts every
+// value and its live heap grows by at least 256 KiB; the BoundedQueue's
+// accepts stop at Capacity(), every rejection counts in enq_full, and its
+// live heap grows by at most 128 KiB.
 func TestBoundedStall(t *testing.T) {
 	const producers, warmPairs, attempts = 2, 2048, 200_000
-	q, err := wfqueue.NewBounded[uint64](producers+1, 1024)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range facades(t, producers+1) {
+		t.Run(f.name, func(t *testing.T) { runStall(t, f, producers, warmPairs, attempts) })
 	}
-	consumer, err := q.Register()
+}
+
+// runStall drives one façade through TestBoundedStall's adversary.
+func runStall(t *testing.T, f facade, producers, warmPairs, attempts int) {
+	consumer, err := f.register()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer consumer.Release()
-	hs := make([]*wfqueue.BoundedHandle[uint64], producers)
+	hs := make([]facadeHandle, producers)
 	for p := range hs {
-		if hs[p], err = q.Register(); err != nil {
+		if hs[p], err = f.register(); err != nil {
 			t.Fatal(err)
 		}
 		defer hs[p].Release()
+	}
+	// offer enqueues v, through TryEnqueue on the bounded façade, and
+	// reports whether the queue accepted it.
+	offer := func(h facadeHandle, v int) bool {
+		if b, ok := h.(interface{ TryEnqueue(int) error }); ok {
+			return b.TryEnqueue(v) == nil
+		}
+		h.Enqueue(v)
+		return true
 	}
 	// Warm-up: pairs through every producer's handle, so the core's
 	// segments and the value boxes reach steady state before the baseline.
 	for i := 0; i < warmPairs; i++ {
 		for p, h := range hs {
-			if err := h.TryEnqueue(uint64(p)<<32 | uint64(i)); err != nil {
-				t.Fatal(err)
+			if !offer(h, p*attempts+i) {
+				t.Fatalf("warm-up round %d: enqueue rejected", i)
 			}
 		}
 		for range hs {
@@ -205,11 +219,11 @@ func TestBoundedStall(t *testing.T) {
 	var wg sync.WaitGroup
 	for p, h := range hs {
 		wg.Add(1)
-		go func(p int, h *wfqueue.BoundedHandle[uint64]) {
+		go func(p int, h facadeHandle) {
 			defer wg.Done()
 			var n uint64
 			for i := 0; i < attempts; i++ {
-				if h.TryEnqueue(uint64(p)<<32|uint64(i)) == nil {
+				if offer(h, p*attempts+i) {
 					n++
 				}
 			}
@@ -226,21 +240,30 @@ func TestBoundedStall(t *testing.T) {
 		}
 		drained++
 	}
-	acc := accepted.Load()
-	if acc > uint64(q.Capacity()) {
-		t.Errorf("accepted %d values into capacity %d", acc, q.Capacity())
-	}
-	if acc == 0 {
+	acc, offered := accepted.Load(), uint64(producers*attempts)
+	switch {
+	case f.capacity == 0 && acc != offered:
+		t.Errorf("accepted %d of %d values on an unbounded queue", acc, offered)
+	case f.capacity > 0 && acc > uint64(f.capacity):
+		t.Errorf("accepted %d values into capacity %d", acc, f.capacity)
+	case acc == 0:
 		t.Error("the stalled queue accepted nothing")
 	}
 	if drained != acc {
 		t.Errorf("drain mismatch: accepted %d drained %d", acc, drained)
 	}
-	if full := q.Stats()["enq_full"]; full != producers*attempts-acc {
-		t.Errorf("enq_full = %d, want the %d rejected attempts", full, producers*attempts-acc)
+	if full := f.stats()["enq_full"]; full != offered-acc {
+		t.Errorf("enq_full = %d, want the %d rejected attempts", full, offered-acc)
 	}
-	t.Logf("capacity %d: accepted %d, drained %d, live heap %d -> %d bytes", q.Capacity(), acc, drained, baseline, stalled)
-	if !raceEnabled && stalled > baseline && stalled-baseline > 128<<10 {
+	t.Logf("capacity %d: accepted %d, drained %d, live heap %d -> %d bytes", f.capacity, acc, drained, baseline, stalled)
+	if raceEnabled {
+		return
+	}
+	if f.capacity == 0 && stalled < baseline+256<<10 {
+		t.Errorf("stall retained %d bytes of live heap for %d queued values, want at least 256 KiB",
+			int64(stalled)-int64(baseline), acc)
+	}
+	if f.capacity > 0 && stalled > baseline+128<<10 {
 		t.Errorf("stall retained %d bytes of live heap, want at most 128 KiB", stalled-baseline)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"wfqueue"
+	"wfqueue/internal/qtest"
 )
 
 func mustBounded[T any](t *testing.T, maxHandles, capacity int) (*wfqueue.BoundedQueue[T], *wfqueue.BoundedHandle[T]) {
@@ -208,11 +209,11 @@ func TestBoundedZeroAlloc(t *testing.T) {
 	// pairs cross about nine boundaries of the default 1024-cell segments:
 	// each one a recycled segment linked in and a reclaimed one let go.
 	before := q.Stats()
-	if n := mallocs(10000, func() {
+	if a := qtest.QueueAllocs(10000, func() {
 		h.TryEnqueue(7)
 		h.Dequeue()
-	}); n != 0 {
-		t.Errorf("BoundedQueue[uint64]: 10000 warm TryEnqueue+Dequeue pairs allocated %d objects, want 0", n)
+	}, facadeFrames...); a.Objects != 0 {
+		t.Errorf("BoundedQueue[uint64]: 10000 warm TryEnqueue+Dequeue pairs allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 	after := q.Stats()
 	if after["segments"] == before["segments"] || after["cleanups"] == before["cleanups"] {
@@ -235,12 +236,12 @@ func TestBoundedZeroAllocOnRejection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := mallocs(10000, func() {
+	if a := qtest.QueueAllocs(10000, func() {
 		if h.TryEnqueue(7) == nil {
 			t.Fatal("TryEnqueue on a full queue succeeded")
 		}
-	}); n != 0 {
-		t.Errorf("10000 rejected TryEnqueues allocated %d objects, want 0 (box not recycled on ErrFull)", n)
+	}, facadeFrames...); a.Objects != 0 {
+		t.Errorf("10000 rejected TryEnqueues allocated %d objects, want 0 (box not recycled on ErrFull), at:\n%s", a.Objects, a.Sites())
 	}
 	h.Release()
 }

@@ -15,7 +15,7 @@
 //
 // The repository benchmark with its per-layer ladder is wfqperf
 // (BENCHMARK.json); the zero-allocation and stall-retention gates are
-// go tests in internal/bench.
+// go tests beside the code they gate.
 //
 // Common flags:
 //

@@ -8,13 +8,15 @@
 //	lincheck repeated small brutal scenarios whose complete operation
 //	         histories are checked for linearizability with the exact
 //	         checker in internal/lincheck.
-//	stall    the workload.StalledConsumer adversary: repeated cycles in
-//	         which producers push tagged sequence numbers while the single
+//	stall    the stalled-consumer adversary: repeated cycles in which
+//	         producers push tagged sequence numbers while the single
 //	         consumer is parked, then the consumer resumes and drains. The
 //	         queue buffers the whole phase, so after every drain the tool
 //	         can verify that exactly the enqueued values came back — no
 //	         loss, no duplication — and that each producer's values stayed
-//	         contiguous and in order across the stall.
+//	         contiguous and in order across the stall. This is the stall
+//	         adversary for registered queues; the root package's
+//	         TestBoundedStall runs it on the public façades.
 //
 // Usage:
 //

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"wfqueue"
+	"wfqueue/internal/qtest"
 )
 
 func TestCoalesceWindowOption(t *testing.T) {
@@ -239,10 +240,10 @@ func TestCoalesceZeroAlloc(t *testing.T) {
 		h.Enqueue(uint64(i))
 		h.Dequeue()
 	}
-	if n := mallocs(10000, func() {
+	if a := qtest.QueueAllocs(10000, func() {
 		h.Enqueue(99)
 		h.Dequeue()
-	}); n != 0 {
-		t.Errorf("10000 coalesced enqueue+dequeue pairs after warm-up allocated %d objects, want 0", n)
+	}, facadeFrames...); a.Objects != 0 {
+		t.Errorf("10000 coalesced enqueue+dequeue pairs after warm-up allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 }

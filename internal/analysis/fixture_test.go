@@ -247,8 +247,8 @@ func TestFixtureAnnotationsPass(t *testing.T) {
 		t.Fatalf("want 6 annotation diagnostics (bare bounded, unknown verb, cost-less bounded, zero cost, dangling, near miss), got %d: %v", len(ds), ds)
 	}
 	wantSubstrings := []string{
-		"malformed wfqlint annotation (unknown annotation form)",  // //wfqlint:bounded
-		"malformed wfqlint annotation (unknown annotation form)",  // //wfqlint:frobnicate(x)
+		"malformed wfqlint annotation (unknown annotation form)", // //wfqlint:bounded
+		"malformed wfqlint annotation (unknown annotation form)", // //wfqlint:frobnicate(x)
 		"malformed wfqlint annotation (want bounded(<cost>, <reason>))",
 		"malformed wfqlint annotation (cost must be positive)",
 		"dangling wfqlint annotation",

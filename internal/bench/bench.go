@@ -115,9 +115,6 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Workload == workload.StalledConsumer {
-		return Result{}, fmt.Errorf("bench: workload %s is phase-asymmetric; drive it with bench.RunStall", cfg.Workload)
-	}
 	workload.Calibrate()
 
 	res := Result{Config: cfg}

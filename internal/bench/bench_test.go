@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"wfqueue/internal/core"
 	_ "wfqueue/internal/registry" // register all queue implementations
 	"wfqueue/internal/workload"
 )
@@ -235,107 +234,5 @@ func TestSegAllocRate(t *testing.T) {
 		if allocs >= linked {
 			t.Errorf("%s: %d of %d linked segments were heap-allocated; none were reused", k, allocs, linked)
 		}
-	}
-}
-
-func TestChurnAllocsZero(t *testing.T) {
-	for name, f := range map[string]func(int) ChurnAllocsResult{
-		"core":    CoreChurnAllocs,
-		"sharded": ShardedChurnAllocs,
-	} {
-		r := f(100000)
-		if r.AllocsPerCycle != 0 {
-			t.Errorf("%s churn allocs/cycle = %v, want exactly 0, at:\n%s", name, r.AllocsPerCycle, r.AllocSites())
-		}
-		if r.BytesPerCycle != 0 {
-			t.Errorf("%s churn bytes/cycle = %v, want exactly 0", name, r.BytesPerCycle)
-		}
-	}
-}
-
-// TestRunStall drives the stalled-consumer adversary over wf-10: the
-// queue must give every value back on the drain and show the linear heap
-// growth the adversary is designed to expose.
-func TestRunStall(t *testing.T) {
-	cfg := DefaultStallConfig("wf-10")
-	cfg.StallOps = 20000
-	cfg.WarmOps = 256
-	res, err := RunStall(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(cfg.Producers * cfg.StallOps); res.Drained != want {
-		t.Errorf("stall drained %d values, want %d", res.Drained, want)
-	}
-	// The queue buffers 40000 in-flight values in freshly allocated
-	// segments.
-	if !raceEnabled && res.RetainedBytes < 256<<10 {
-		t.Errorf("stall retained only %d bytes for %d in-flight values", res.RetainedBytes, res.Drained)
-	}
-
-	// The phase-asymmetric kind must not silently no-op through Run.
-	if _, err := Run(smallConfig("wf-10", workload.StalledConsumer, 2)); err == nil {
-		t.Error("Run accepted the StalledConsumer workload")
-	}
-	if _, err := RunStall(StallConfig{Queue: "wf-10"}); err == nil {
-		t.Error("RunStall accepted a zero config")
-	}
-	if _, err := RunStall(DefaultStallConfig("no-such-queue")); err == nil {
-		t.Error("RunStall accepted an unknown queue")
-	}
-}
-
-// queueAllocs must count an allocation made under a queue frame, with its
-// stack, and leave out one made by code outside the queue packages.
-func TestQueueAllocsAttribution(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
-	}
-	var sink []*core.Queue
-	objs, bytes, stacks := queueAllocs(func() { sink = append(sink, core.New(1)) })
-	if objs == 0 || bytes == 0 {
-		t.Errorf("core.New counted as %d objects, %d bytes; want > 0", objs, bytes)
-	}
-	if len(stacks) == 0 || !strings.Contains(strings.Join(stacks, ""), "wfqueue/internal/core.New") {
-		t.Errorf("no stack names core.New:\n%s", strings.Join(stacks, "\n"))
-	}
-	var other [][]byte
-	objs, _, stacks = queueAllocs(func() {
-		for i := 0; i < 100; i++ {
-			other = append(other, make([]byte, 64+i))
-		}
-	})
-	if objs != 0 {
-		t.Errorf("allocations outside the queue packages counted as %d objects at:\n%s",
-			objs, strings.Join(stacks, "\n"))
-	}
-	runtime.KeepAlive(sink)
-	runtime.KeepAlive(other)
-}
-
-// TestCoalesceSteadyStateAllocsZero is the coalescing zero-allocation gate
-// at windows 1 (passthrough), 4, 16 (the wf-coalesce default) and 64.
-func TestCoalesceSteadyStateAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
-	}
-	for _, w := range []int{1, 4, 16, 64} {
-		st := CoalesceSteadyStateAllocs(200_000, w)
-		if st.AllocsPerOp != 0 {
-			t.Errorf("window %d: %.6f allocs/op at steady state, want 0, at:\n%s",
-				w, st.AllocsPerOp, strings.Join(st.Stacks, "\n"))
-		}
-	}
-}
-
-// TestShardedSteadyStateAllocsZero is the sharded-layer zero-allocation
-// gate: home-lane dispatch and the two-pass steal sweep must allocate
-// nothing at steady state. It counts only queue-frame allocations, so it
-// holds under -race too.
-func TestShardedSteadyStateAllocsZero(t *testing.T) {
-	st := ShardedSteadyStateAllocs(50_000)
-	if st.AllocsPerOp != 0 {
-		t.Fatalf("sharded hot path allocates %.6f objects/op at steady state, want 0, at:\n%s",
-			st.AllocsPerOp, st.AllocSites())
 	}
 }

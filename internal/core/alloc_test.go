@@ -1,36 +1,16 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 	"unsafe"
 
 	"wfqueue/internal/ctr"
+	"wfqueue/internal/qtest"
 )
 
-// mallocs returns the heap allocations (MemStats.Mallocs) made across runs
-// calls of f, measured as testing.AllocsPerRun does (GOMAXPROCS 1, one
-// warm-up call first) but reported for the whole window: AllocsPerRun
-// divides by runs and rounds down, so a window that allocates one segment
-// every few pairs reads 0 there. MemStats is process-wide, and now and then
-// another goroutine (the runtime, the test runner) allocates
-// inside a window; an allocation on f's own path lands in every window, so
-// the fewest over three windows is exact for it.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	least := ^uint64(0)
-	for w := 0; w < 3 && least != 0; w++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
-	}
-	return least
-}
+// coreFrames is the frame prefix qtest.QueueAllocs counts allocations
+// under: this package's code.
+const coreFrames = "wfqueue/internal/core."
 
 // TestSteadyStateZeroAllocs asserts the tentpole property: the
 // enqueue/dequeue hot path performs zero heap allocations at steady state,
@@ -52,11 +32,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	before := q.ReclaimedSegments()
 
-	if n := mallocs(10000, func() {
+	if a := qtest.QueueAllocs(10000, func() {
 		q.Enqueue(h, p)
 		q.Dequeue(h)
-	}); n != 0 {
-		t.Errorf("10000 steady-state enqueue+dequeue pairs allocated %d objects, want 0", n)
+	}, coreFrames); a.Objects != 0 {
+		t.Errorf("10000 steady-state enqueue+dequeue pairs allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 	if rec := q.ReclaimedSegments() - before; rec == 0 {
 		t.Error("measured window recycled no segments; the zero-alloc claim did not cover the segment path")
@@ -76,11 +56,66 @@ func TestSteadyStateZeroAllocsBatch(t *testing.T) {
 		q.EnqueueBatch(h, vs)
 		q.DequeueBatch(h, dst)
 	}
-	if n := mallocs(5000, func() {
+	if a := qtest.QueueAllocs(5000, func() {
 		q.EnqueueBatch(h, vs)
 		q.DequeueBatch(h, dst)
-	}); n != 0 {
-		t.Errorf("5000 steady-state batch enqueue+dequeue pairs allocated %d objects, want 0", n)
+	}, coreFrames); a.Objects != 0 {
+		t.Errorf("5000 steady-state batch enqueue+dequeue pairs allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
+	}
+}
+
+// TestCoalesceSteadyStateAllocsZero is the coalescing zero-allocation gate
+// at windows 1 (passthrough), 4, 16 (the wf-coalesce default) and 64. The
+// coalescing buffers are fixed arrays inside the handle, so the coalesced
+// hot path must allocate nothing at steady state, with segments small
+// enough (shift 6, maxGarbage 1) that the window crosses many segment
+// boundaries. Each round is a run of window enqueues, then window
+// dequeues, so the window actually fills rather than degenerating through
+// the dequeue-side flush.
+func TestCoalesceSteadyStateAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is meaningless under -race")
+	}
+	for _, w := range []int{1, 4, 16, 64} {
+		q := New(1, WithSegmentShift(6), WithMaxGarbage(1), WithCoalescing(w))
+		h := mustRegister(t, q)
+		p := box(42)
+		round := func() {
+			for j := 0; j < w; j++ {
+				q.CoalescedEnqueue(h, p)
+			}
+			for j := 0; j < w; j++ {
+				q.CoalescedDequeue(h)
+			}
+		}
+		// Warm past the first reclamation cycle.
+		for i := 0; i < (4<<6)/w; i++ {
+			round()
+		}
+		rounds := 200_000 / w
+		if a := qtest.QueueAllocs(rounds, round, coreFrames); a.Objects != 0 {
+			t.Errorf("window %d: %d coalesced enqueue+dequeue pairs allocated %d objects at steady state, want 0, at:\n%s",
+				w, rounds*w, a.Objects, a.Sites())
+		}
+	}
+}
+
+// TestChurnAllocsZero is the handle-lifecycle gate: the lock-free handle
+// pool pre-allocates every handle at construction, so a Register/Release
+// pair must not touch the heap (DESIGN.md §6). It counts only allocations
+// under this package's frames, so it holds under -race too.
+func TestChurnAllocsZero(t *testing.T) {
+	q := New(2)
+	a := qtest.QueueAllocs(100000, func() {
+		h, err := q.Register()
+		if err != nil {
+			panic(err) // cannot happen: capacity 2, one handle in flight
+		}
+		h.Release()
+	}, coreFrames)
+	if a.Objects != 0 || a.Bytes != 0 {
+		t.Errorf("100000 Register+Release cycles allocated %d objects, %d bytes, want exactly 0, at:\n%s",
+			a.Objects, a.Bytes, a.Sites())
 	}
 }
 

@@ -29,10 +29,9 @@ const (
 	// (Op.Value) or EMPTY.
 	Deq
 	// TryEnqFull is a rejected bounded enqueue: the implementation claimed
-	// the queue held its full capacity of values at a linearizable point.
-	// Legal only under CheckBounded, in states where the abstract queue is
-	// exactly full, and under CheckBoundedInFlight, in states where it is
-	// full once the operations in flight are counted.
+	// the queue held its full capacity of values. Legal only under
+	// CheckBoundedInFlight, in states where the abstract queue is full once
+	// the operations in flight are counted.
 	TryEnqFull
 )
 
@@ -73,31 +72,17 @@ var ErrTooLarge = errors.New("lincheck: history exceeds MaxOps operations")
 // queue: every Enq is legal, and a TryEnqFull op (which claims the queue was
 // full) can never linearize.
 func Check(h History) (bool, error) {
-	return check(h, 0, false)
-}
-
-// CheckBounded reports whether the history is linearizable as a FIFO queue
-// of the given capacity: an Enq is legal only in states holding fewer than
-// capacity values, and a TryEnqFull op linearizes only in states holding
-// exactly capacity values — so both a false acceptance (value count over
-// capacity) and a false full verdict (rejection with room available at every
-// possible point) are caught.
-func CheckBounded(h History, capacity int) (bool, error) {
-	if capacity < 1 {
-		return false, fmt.Errorf("lincheck: CheckBounded capacity %d < 1", capacity)
-	}
-	return check(h, capacity, false)
+	return check(h, 0)
 }
 
 // CheckBoundedInFlight reports whether the history is linearizable as a FIFO
 // queue of the given capacity under the in-flight FULL contract: an Enq is
-// legal only in states holding fewer than capacity values, as in
-// CheckBounded, and a TryEnqFull op linearizes in any state where the queued
-// values plus the other operations whose intervals overlap the rejected call
-// reach capacity. That is the contract of a queue that counts its occupancy
-// in a counter each operation updates outside its linearization point, so
-// FULL is returned with at least capacity − (concurrent operations) values
-// queued.
+// legal only in states holding fewer than capacity values, and a TryEnqFull
+// op linearizes in any state where the queued values plus the other
+// operations whose intervals overlap the rejected call reach capacity. That
+// is the contract of a queue that counts its occupancy in a counter each
+// operation updates outside its linearization point, so FULL is returned
+// with at least capacity − (concurrent operations) values queued.
 //
 // Every overlapping operation counts, linearized or not: a dequeue that has
 // already taken its value still holds its unit of the counter until it
@@ -107,12 +92,11 @@ func CheckBoundedInFlight(h History, capacity int) (bool, error) {
 	if capacity < 1 {
 		return false, fmt.Errorf("lincheck: CheckBoundedInFlight capacity %d < 1", capacity)
 	}
-	return check(h, capacity, true)
+	return check(h, capacity)
 }
 
-// check is the shared search entry; capacity 0 means unbounded, and
-// inFlight selects CheckBoundedInFlight's FULL rule.
-func check(h History, capacity int, inFlight bool) (bool, error) {
+// check is the shared search entry; capacity 0 means unbounded.
+func check(h History, capacity int) (bool, error) {
 	n := len(h)
 	if n > MaxOps {
 		return false, ErrTooLarge
@@ -127,7 +111,7 @@ func check(h History, capacity int, inFlight bool) (bool, error) {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 
 	c := &checker{ops: ops, capacity: capacity, visited: make(map[string]struct{})}
-	if inFlight {
+	if capacity > 0 {
 		c.overlaps = make([]int, n)
 		for i, a := range ops {
 			for j, b := range ops {
@@ -144,7 +128,7 @@ type checker struct {
 	ops      []Op
 	capacity int // 0: unbounded
 	// overlaps[i] counts the other ops whose intervals overlap op i's; nil
-	// unless the FULL rule counts operations in flight.
+	// on an unbounded queue.
 	overlaps []int
 	visited  map[string]struct{}
 }
@@ -210,14 +194,10 @@ func (c *checker) apply(i int, queue []uint64) ([]uint64, bool) {
 	op := c.ops[i]
 	switch {
 	case op.Kind == TryEnqFull:
-		// A full verdict is legal only when the abstract queue holds exactly
-		// its capacity (impossible for an unbounded queue), or, under the
-		// in-flight rule, when the overlapping operations make up the rest.
-		held := len(queue)
-		if c.overlaps != nil {
-			held += c.overlaps[i]
-		}
-		if c.capacity == 0 || held < c.capacity {
+		// A full verdict is legal only when the queued values and the
+		// overlapping operations reach the capacity (never on an unbounded
+		// queue).
+		if c.capacity == 0 || len(queue)+c.overlaps[i] < c.capacity {
 			return nil, false
 		}
 		return queue, true

@@ -112,17 +112,18 @@ func TestDequeueOfNeverEnqueued(t *testing.T) {
 	}
 }
 
-func mustCheckBounded(t *testing.T, h History, capacity int) bool {
+func mustCheckInFlight(t *testing.T, h History, capacity int) bool {
 	t.Helper()
-	ok, err := CheckBounded(h, capacity)
+	ok, err := CheckBoundedInFlight(h, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ok
 }
 
-// TestBoundedFullVerdict: a rejection is legal exactly when the queue can
-// hold capacity values at some linearization point inside the interval.
+// TestBoundedFullVerdict: with nothing overlapping it, a rejection is legal
+// exactly when the queue can hold capacity values at some linearization
+// point inside its interval.
 func TestBoundedFullVerdict(t *testing.T) {
 	h := History{
 		{Kind: Enq, Value: 1, Start: 0, End: 1},
@@ -131,11 +132,11 @@ func TestBoundedFullVerdict(t *testing.T) {
 		{Kind: Deq, Value: 1, OK: true, Start: 6, End: 7},
 		{Kind: Enq, Value: 3, Start: 8, End: 9},
 	}
-	if !mustCheckBounded(t, h, 2) {
+	if !mustCheckInFlight(t, h, 2) {
 		t.Error("legal full/drain-one/retry history rejected at capacity 2")
 	}
 	// At capacity 3 the same rejection is a false full verdict.
-	if mustCheckBounded(t, h, 3) {
+	if mustCheckInFlight(t, h, 3) {
 		t.Error("false full verdict accepted at capacity 3")
 	}
 }
@@ -148,10 +149,10 @@ func TestBoundedOverAcceptance(t *testing.T) {
 		{Kind: Enq, Value: 2, Start: 2, End: 3},
 		{Kind: Enq, Value: 3, Start: 4, End: 5},
 	}
-	if mustCheckBounded(t, h, 2) {
+	if mustCheckInFlight(t, h, 2) {
 		t.Error("three completed enqueues accepted at capacity 2")
 	}
-	if !mustCheckBounded(t, h, 3) {
+	if !mustCheckInFlight(t, h, 3) {
 		t.Error("three completed enqueues rejected at capacity 3")
 	}
 }
@@ -165,7 +166,7 @@ func TestBoundedFullConcurrentDequeue(t *testing.T) {
 		{Kind: Deq, Value: 1, OK: true, Start: 2, End: 20, Thread: 1},
 		{Kind: TryEnqFull, Value: 2, Start: 4, End: 6, Thread: 0},
 	}
-	if !mustCheckBounded(t, h, 1) {
+	if !mustCheckInFlight(t, h, 1) {
 		t.Error("full verdict concurrent with the draining dequeue rejected")
 	}
 }
@@ -179,25 +180,10 @@ func TestTryEnqFullUnbounded(t *testing.T) {
 	}
 }
 
-func TestCheckBoundedValidation(t *testing.T) {
-	if _, err := CheckBounded(nil, 0); err == nil {
-		t.Error("CheckBounded accepted capacity 0")
-	}
-}
-
-func mustCheckInFlight(t *testing.T, h History, capacity int) bool {
-	t.Helper()
-	ok, err := CheckBoundedInFlight(h, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ok
-}
-
 // TestBoundedInFlightEnqueue: one value queued and one enqueue in flight
-// make a capacity-2 queue full under the in-flight rule. The in-flight
-// enqueue cannot linearize before the rejection (the EMPTY dequeue after it
-// proves its value was not yet queued), so the strict checker rejects.
+// make a capacity-2 queue full under the in-flight rule, though the
+// in-flight enqueue cannot linearize before the rejection (the EMPTY
+// dequeue after it proves its value was not yet queued).
 func TestBoundedInFlightEnqueue(t *testing.T) {
 	h := History{
 		{Kind: Enq, Value: 1, Start: 0, End: 1, Thread: 0},
@@ -209,9 +195,6 @@ func TestBoundedInFlightEnqueue(t *testing.T) {
 	}
 	if !mustCheckInFlight(t, h, 2) {
 		t.Error("FULL overlapping an in-flight enqueue rejected")
-	}
-	if mustCheckBounded(t, h, 2) {
-		t.Error("strict checker accepted FULL with one value queued at capacity 2")
 	}
 }
 
@@ -233,9 +216,6 @@ func TestBoundedInFlightTakenDequeue(t *testing.T) {
 	}
 	if !mustCheckInFlight(t, h, 2) {
 		t.Error("FULL overlapping a dequeue that had taken its value rejected")
-	}
-	if mustCheckBounded(t, h, 2) {
-		t.Error("strict checker accepted FULL with one value queued at capacity 2")
 	}
 }
 
@@ -267,31 +247,24 @@ func TestBoundedInFlightFalseFull(t *testing.T) {
 // TestBoundedInFlightOverAcceptance: the in-flight rule loosens FULL only;
 // no state may hold more than capacity values, however much overlaps.
 func TestBoundedInFlightOverAcceptance(t *testing.T) {
-	sequential := History{
-		{Kind: Enq, Value: 1, Start: 0, End: 1},
-		{Kind: Enq, Value: 2, Start: 2, End: 3},
-		{Kind: Enq, Value: 3, Start: 4, End: 5},
-	}
-	concurrent := History{
+	h := History{
 		{Kind: Enq, Value: 1, Start: 0, End: 10, Thread: 0},
 		{Kind: Enq, Value: 2, Start: 0, End: 10, Thread: 1},
 		{Kind: Enq, Value: 3, Start: 0, End: 10, Thread: 2},
 		{Kind: TryEnqFull, Value: 4, Start: 0, End: 10, Thread: 3},
 	}
-	for _, h := range []History{sequential, concurrent} {
-		if mustCheckInFlight(t, h, 2) {
-			t.Errorf("three accepted enqueues accepted at capacity 2: %v", h)
-		}
-		if !mustCheckInFlight(t, h, 3) {
-			t.Errorf("three accepted enqueues rejected at capacity 3: %v", h)
-		}
+	if mustCheckInFlight(t, h, 2) {
+		t.Error("three concurrent accepted enqueues accepted at capacity 2")
+	}
+	if !mustCheckInFlight(t, h, 3) {
+		t.Error("three concurrent accepted enqueues rejected at capacity 3")
 	}
 }
 
-// TestBoundedInFlightWeakensStrict: every history the strict checker
-// accepts, the in-flight checker accepts too. Random legal sequential
-// bounded executions are smeared into overlapping intervals, as in
-// TestRandomSmearedHistoriesAccepted.
+// TestBoundedInFlightWeakensStrict: the in-flight checker accepts every
+// history of a strict bounded queue, whose FULL means exactly capacity
+// values queued. Random legal sequential strict executions are smeared into
+// overlapping intervals, as in TestRandomSmearedHistoriesAccepted.
 func TestBoundedInFlightWeakensStrict(t *testing.T) {
 	const capacity = 2
 	rng := rand.New(rand.NewSource(7))
@@ -313,9 +286,6 @@ func TestBoundedInFlightWeakensStrict(t *testing.T) {
 				queue = append(queue, next)
 				next++
 			}
-		}
-		if !mustCheckBounded(t, h, capacity) {
-			t.Fatalf("trial %d: smeared legal bounded history rejected: %v", trial, h)
 		}
 		if !mustCheckInFlight(t, h, capacity) {
 			t.Fatalf("trial %d: in-flight checker rejected a strictly legal history: %v", trial, h)

@@ -10,12 +10,9 @@
 // arenas: an enqueue writes the value into the next arena slot and enqueues
 // the slot's address, so no operation allocates. The arena has 2^16 slots
 // per thread; a thread with more than 2^16 values outstanding reuses slots,
-// which changes the values read back (never memory safety). Workloads here
-// do go that far: bench.RunStall's DefaultStallConfig enqueues 200,000
-// values per producer while the consumer is parked, and each producer's
-// arena wraps three times. That run stays valid only because RunStall reads
-// back counts, not values. Whatever checks the values it reads back builds
-// its queue through NewChecked, whose heap boxes stay exact.
+// which changes the values read back (never memory safety). Whatever checks
+// the values it reads back builds its queue through NewChecked, whose heap
+// boxes stay exact.
 //
 // Every queue here is unbounded except chan, whose Enqueue panics rather
 // than block at its fixed capacity. The bounded contract is the public

@@ -1,30 +1,10 @@
 package scq
 
 import (
-	"runtime"
 	"testing"
-)
 
-// mallocs returns the fewest heap allocations (MemStats.Mallocs) that any
-// of three windows of runs calls of f made, at GOMAXPROCS 1 and after one
-// warm-up call. MemStats is process-wide, so now and then another goroutine
-// allocates inside a window; an allocation on f's own path lands in every
-// window, so the fewest is exact for it.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	least := ^uint64(0)
-	for w := 0; w < 3 && least != 0; w++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
-	}
-	return least
-}
+	"wfqueue/internal/qtest"
+)
 
 // TestSteadyStateZeroAllocs gates the warm ring's TryEnqueue/Dequeue pair at
 // exactly 0 allocations. The window wraps the 64-slot ring thousands of
@@ -54,7 +34,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	for i := 0; i < 4*capacity; i++ {
 		pair()
 	}
-	if n := mallocs(200_000, pair); n != 0 {
-		t.Errorf("200000 warm TryEnqueue+Dequeue pairs allocated %d objects, want 0", n)
+	if a := qtest.QueueAllocs(200_000, pair, "wfqueue/internal/scq."); a.Objects != 0 {
+		t.Errorf("200000 warm TryEnqueue+Dequeue pairs allocated %d objects, want 0, at:\n%s", a.Objects, a.Sites())
 	}
 }

@@ -30,15 +30,6 @@ const (
 	// a DequeueBatch of B, so one iteration counts as 2B operations. With
 	// B=1 it degenerates to Pairs.
 	PairsBatched
-	// StalledConsumer is the bounded-memory adversary: producers keep
-	// offering values while the consumer parks for a whole phase, then
-	// resumes and drains. An unbounded queue buffers the entire phase, so
-	// its live heap grows linearly with the stall length; a bounded queue
-	// rejects with backpressure once all capacity slots are held, keeping
-	// retention flat at its capacity. The phase structure is asymmetric by
-	// design, so this kind is driven by bench.RunStall and wfqstress
-	// -stall, not by the symmetric per-thread trial loop.
-	StalledConsumer
 )
 
 // String returns the workload's conventional name.
@@ -50,8 +41,6 @@ func (k Kind) String() string {
 		return "50%-enqueues"
 	case PairsBatched:
 		return "enqueue-dequeue-pairs-batched"
-	case StalledConsumer:
-		return "stalled-consumer"
 	default:
 		return "unknown"
 	}

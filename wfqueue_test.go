@@ -336,19 +336,23 @@ type facadeHandle interface {
 // facade names one façade and registers handles on a fresh queue of it.
 type facade struct {
 	name     string
+	capacity int // 0: unbounded
 	register func() (facadeHandle, error)
+	stats    func() map[string]uint64
 }
 
-// facades builds one queue of each façade for maxHandles handles.
+// facades builds one queue of each façade for maxHandles handles; the
+// bounded one holds 1024 values.
 func facades(t *testing.T, maxHandles int) []facade {
 	t.Helper()
-	b, err := wfqueue.NewBounded[int](maxHandles, 4)
+	q := wfqueue.New[int](maxHandles)
+	b, err := wfqueue.NewBounded[int](maxHandles, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []facade{
-		{"Queue", registrar(wfqueue.New[int](maxHandles).Register)},
-		{"BoundedQueue", registrar(b.Register)},
+		{"Queue", 0, registrar(q.Register), func() map[string]uint64 { return q.Stats().Map() }},
+		{"BoundedQueue", b.Capacity(), registrar(b.Register), b.Stats},
 	}
 }
 
