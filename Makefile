@@ -63,7 +63,7 @@ short:
 race:
 	$(GO) test -race ./... -count=1
 
-# One testing.B family per paper table/figure plus ablations (DESIGN.md §7).
+# One testing.B family per paper table/figure plus ablations (DESIGN.md §10).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -79,14 +79,14 @@ stress: | $(ARTIFACTS)
 
 # Long validation across every registered queue, plus one batched pass over
 # the wait-free queue's native k-cell reservation path. The queue list is the
-# first column of `wfqbench figure2 -list` minus faa, the microbenchmark
+# first column of `wfqbench list` minus faa, the microbenchmark
 # wfqstress rejects; the wf-coalesce* variants run under -coalesce, the
 # exact-accounting audit. CI runs this target with a short SOAK_FLAGS. A
 # failing run prints the tail of the log and fails the target.
 SOAK_FLAGS ?= -threads 8 -duration 10s
 SOAK_LOG = $(ARTIFACTS)/soak_output.txt
 soak: | $(ARTIFACTS)
-	@queues=$$($(GO) run ./cmd/wfqbench figure2 -list | awk 'NR > 1 && $$1 != "faa" { print $$1 }'); \
+	@queues=$$($(GO) run ./cmd/wfqbench list | awk 'NR > 1 && $$1 != "faa" { print $$1 }'); \
 	test -n "$$queues" || { echo "soak: no queues listed"; exit 1; }; \
 	: > $(SOAK_LOG); \
 	run() { \
@@ -100,10 +100,13 @@ soak: | $(ARTIFACTS)
 	done; \
 	run -queue wf-10 -batch 8
 
-# Regenerate the paper's tables and figures (quick parameters; add
-# WFQ_FLAGS=-paper for the full methodology).
+# Regenerate the paper's tables and figures: the go test -bench families
+# for Table 1, Figure 2 (whose threads=1 rows are §5.2's 50% comparison),
+# Table 2 and §5.2, then the latency tails. bench_tables.txt at the root is
+# a committed run of the first command. WFQ_FLAGS takes go test flags, e.g. -count 5.
 experiments: | $(ARTIFACTS)
-	$(GO) run ./cmd/wfqbench all -csv $(ARTIFACTS)/results.csv $(WFQ_FLAGS) | tee $(ARTIFACTS)/experiments_run.txt
+	$(GO) test -run '^$$' -bench 'Figure2|Table2Breakdown|SingleThread|Table1Platform' -benchmem $(WFQ_FLAGS) . | tee $(ARTIFACTS)/experiments_run.txt
+	$(GO) run ./cmd/wfqbench latency | tee -a $(ARTIFACTS)/experiments_run.txt
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -6,13 +6,16 @@
 //	BenchmarkTable2Breakdown    Table 2 (WF-0 path percentages as metrics)
 //	BenchmarkSingleThread       §5.2 single-thread comparison
 //	BenchmarkTable1Platform     Table 1 (platform detection; prints once)
+//	BenchmarkBatchPairs         batched pairs, EnqueueBatch/DequeueBatch sweep
+//	BenchmarkShardedLanes       sharded lanes against wf-10 under pairs
 //	BenchmarkAblation*          design-choice ablations called out in DESIGN.md
 //
-// These benches run the raw operation loops without the 50–100 ns random
-// work and without the COV/CI machinery — `go test -bench` supplies its own
-// measurement discipline. The full §5.1 methodology (work injection, steady
-// state detection, confidence intervals, pinning) lives in cmd/wfqbench,
-// which regenerates the tables exactly as the paper reports them.
+// They are the one harness for the paper's tables. The loops run the
+// operations back to back: the paper's 50–100 ns of random work between
+// operations, its thread pinning and its steady-state/confidence-interval
+// loop are left out, and `go test -bench` supplies the measurement
+// discipline (repeat with -count for spread). The threads=1 rows of the
+// Figure 2 families are the §5.2 comparison under both workloads.
 package wfqueue_test
 
 import (
@@ -110,8 +113,9 @@ func BenchmarkFigure2Half(b *testing.B) {
 }
 
 // BenchmarkTable2Breakdown reruns WF-0 under the 50%-enqueues workload at
-// the Table 2 thread counts (half, full, 2× and 4× the hardware threads)
-// and reports the slow-path and EMPTY percentages as benchmark metrics.
+// 1, 2, 4 and 8 goroutines (Table 2's half, full, 2× and 4× the hardware
+// threads on a 2-CPU host) and reports the slow-path and EMPTY percentages
+// as benchmark metrics.
 func BenchmarkTable2Breakdown(b *testing.B) {
 	for _, t := range benchThreads {
 		b.Run(fmt.Sprintf("wf-0/threads=%d", t), func(b *testing.B) {

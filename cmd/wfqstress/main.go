@@ -64,7 +64,7 @@ import (
 )
 
 func main() {
-	queue := flag.String("queue", "wf-10", "queue implementation (see wfqbench -list)")
+	queue := flag.String("queue", "wf-10", "queue implementation (see wfqbench list)")
 	threads := flag.Int("threads", 2*runtime.NumCPU(), "worker count (half produce, half consume)")
 	duration := flag.Duration("duration", 10*time.Second, "stress duration")
 	mode := flag.String("mode", "stress", "stress or lincheck")

@@ -5,8 +5,8 @@
 // bound — on a short enqueue-dequeue-pairs burst.
 //
 // This is a demo of the implementation registry, not a rigorous benchmark:
-// for confidence intervals, pinning, steady-state detection and the paper's
-// workloads, use `go run ./cmd/wfqbench`.
+// for the paper's workloads and thread sweeps, run the root package's
+// benchmark families (`make experiments`, DESIGN.md §10).
 package main
 
 import (

@@ -1,3 +1,8 @@
+// Package bench holds what cmd/wfqbench and the root Table 1 benchmark run:
+// the per-operation latency harness (MeasureLatency, behind `wfqbench
+// latency`) and the host summary of the paper's Table 1 (DetectPlatform).
+// The paper's throughput tables are `go test -bench` families in the root
+// package.
 package bench
 
 import (
@@ -63,8 +68,9 @@ type LatencyConfig struct {
 	Seed        uint64
 }
 
-// DefaultLatencyConfig returns a config matching the throughput harness's
-// environment.
+// DefaultLatencyConfig returns a config with 200,000 operations per side,
+// about one operation in four timed, and workers pinned where the host
+// allows.
 func DefaultLatencyConfig(queue string, threads int) LatencyConfig {
 	return LatencyConfig{
 		Queue:       queue,

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"wfqueue/internal/ctr"
+	"wfqueue/internal/workload"
 )
 
 // drive pushes the queue through enough enqueue/dequeue pairs on h to cross
@@ -455,5 +456,49 @@ func TestRecycleDetachStress(t *testing.T) {
 	wg.Wait()
 	if n := empties.Load(); n != 0 {
 		t.Errorf("%d of %d dequeues found EMPTY after their own handle's enqueue: values were lost", n, workers*pairs)
+	}
+}
+
+// TestSegAllocRate makes the heap fallback visible: two goroutines run the
+// paper's pairs and half shapes (200,000 operations each), and the log
+// reports heap segment allocations (seg_allocs) beside segments linked
+// (segments) per thousand operations. Only reuse is asserted — fewer
+// allocations than links. Two more ratios per linked segment are logged:
+// segments prepared (cache hits + slot hits + allocations), above 1 when
+// both handles reach a boundary together and the loser's segment goes back
+// for reuse, and spin fallbacks (helpEnq giving up its wait on an in-flight
+// enqueuer and yielding).
+func TestSegAllocRate(t *testing.T) {
+	const threads, opsPer = 2, 200_000
+	for _, shape := range []string{"pairs", "half"} {
+		q := New(threads)
+		hs := []*Handle{mustRegister(t, q), mustRegister(t, q)}
+		var wg sync.WaitGroup
+		for w, h := range hs {
+			wg.Add(1)
+			go func(w int, h *Handle) {
+				defer wg.Done()
+				p := box(int64(w))
+				rng := workload.NewRNG(uint64(w) + 1)
+				for i := 0; i < opsPer; i++ {
+					if shape == "pairs" && i%2 == 0 || shape == "half" && rng.Bool() {
+						q.Enqueue(h, p)
+					} else {
+						q.Dequeue(h)
+					}
+				}
+			}(w, h)
+		}
+		wg.Wait()
+		st := q.Stats()
+		kops := float64(threads*opsPer) / 1000
+		linked := float64(st.Segments)
+		prepared := st.SegCacheHits + st.SegPoolHits + st.SegAllocs
+		t.Logf("%s T=%d: %.3f seg_allocs/kop, %.3f segments/kop (%d of %d linked segments heap-allocated, %d slot hits, %d cache hits); per linked segment: %.2f prepared, %.2f spin fallbacks",
+			shape, threads, float64(st.SegAllocs)/kops, linked/kops, st.SegAllocs, st.Segments, st.SegPoolHits, st.SegCacheHits,
+			float64(prepared)/linked, float64(st.SpinFallbacks)/linked)
+		if st.SegAllocs >= st.Segments {
+			t.Errorf("%s: %d of %d linked segments were heap-allocated; none were reused", shape, st.SegAllocs, st.Segments)
+		}
 	}
 }

@@ -57,8 +57,8 @@ type Ops struct {
 	//
 	// May be nil: implementations predating the handle-lifecycle contract —
 	// or wrappers that cannot reclaim capacity — leave it unset, and
-	// harnesses that churn registrations (the qtest storm, wfqbench's Churn
-	// workload, wfqstress -churn) skip such queues. A Factory that sets
+	// harnesses that churn registrations (the qtest storm, wfqstress
+	// -churn) skip such queues. A Factory that sets
 	// ChurnSafe guarantees a non-nil Release.
 	Release func()
 }

@@ -11,14 +11,3 @@ func BenchmarkRNGNext(b *testing.B) {
 	}
 	_ = sink
 }
-
-// The calibrated 50-100ns inter-operation work of §5.1.
-func BenchmarkWork(b *testing.B) {
-	b.ReportAllocs()
-	Calibrate()
-	r := NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Work(&r, 50, 100)
-	}
-}

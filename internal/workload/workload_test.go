@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -69,39 +68,6 @@ func TestBoolRoughlyFair(t *testing.T) {
 	}
 }
 
-func TestCalibrateAndDelay(t *testing.T) {
-	Calibrate()
-	// A 100µs delay must take at least ~20µs and at most ~10ms even under
-	// heavy CI noise; this only checks the calibration is the right order
-	// of magnitude.
-	start := time.Now()
-	Delay(100_000)
-	d := time.Since(start)
-	if d < 20*time.Microsecond {
-		t.Errorf("Delay(100µs) returned after only %v", d)
-	}
-	if d > 10*time.Millisecond {
-		t.Errorf("Delay(100µs) took %v", d)
-	}
-}
-
-func TestWorkBounds(t *testing.T) {
-	Calibrate()
-	r := NewRNG(3)
-	for i := 0; i < 100; i++ {
-		ns := Work(&r, 50, 100)
-		if ns < 50 || ns > 100 {
-			t.Fatalf("Work returned %d, want [50,100]", ns)
-		}
-	}
-	if ns := Work(&r, 70, 70); ns != 70 {
-		t.Errorf("degenerate range: got %d want 70", ns)
-	}
-	if ns := Work(&r, 70, 30); ns != 70 {
-		t.Errorf("inverted range: got %d want 70 (min)", ns)
-	}
-}
-
 func TestSplitExactTotal(t *testing.T) {
 	f := func(totalRaw uint16, nRaw uint8) bool {
 		total := int(totalRaw)
@@ -139,9 +105,6 @@ func TestSplitSeedsDistinct(t *testing.T) {
 			t.Fatalf("duplicate seed %d", p.Seed)
 		}
 		seen[p.Seed] = true
-		if p.MinWorkNS != 50 || p.MaxWorkNS != 100 {
-			t.Errorf("work bounds = [%d,%d], want paper's [50,100]", p.MinWorkNS, p.MaxWorkNS)
-		}
 	}
 }
 
